@@ -6,9 +6,10 @@
 //! The acceptance bar tracked in `BENCH_throughput.json`: the fused plan
 //! must never be slower than the layered reference — it folds the
 //! standardizer into downstream weights, scores the matched-filter bank
-//! filter-major over a contiguous f32 tile, and dispatches dots to the
-//! AVX2 kernel where the host supports it (`mlr throughput --check-plan`
-//! gates the same invariant in CI).
+//! in register blocks over a contiguous f32 tile, runs the heads over
+//! 8-shot lanes, and dispatches to the AVX2 kernels where the host
+//! supports them (`mlr throughput --check-plan` gates the same invariant
+//! in CI).
 
 use std::hint::black_box;
 

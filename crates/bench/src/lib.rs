@@ -6,7 +6,7 @@
 //! the paper; see the README's experiment index. Binaries honour two
 //! environment variables:
 //!
-//! * `MLR_SHOTS` — shots per prepared basis state (default 40; the paper
+//! * `MLR_SHOTS` — shots per prepared basis state (default 600; the paper
 //!   records 50 000 on hardware, which is unnecessary for the trends);
 //! * `MLR_SEED` — master seed (default 2025);
 //! * `MLR_THREADS` — worker-thread override for generation and batch

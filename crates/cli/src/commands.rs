@@ -1501,7 +1501,8 @@ fn cmd_serve_stats(args: &Args) -> Result<(), CliError> {
 
     if json {
         let rev = mlr_bench::git_rev();
-        let threads = 2;
+        // The fleet's shared pool size, as built from MLR_FLEET_WORKERS.
+        let threads = fleet.config().workers;
         // Vectored rows are keyed by submission window in `batch` so a
         // --window sweep leaves a comparable trajectory (1/16/64/128);
         // scalar rows keep the historical completed-shots convention.

@@ -1,65 +1,76 @@
-//! The compiler's back end: lowering a fused [`OpGraph`] to `f32` tiled
-//! kernels scored by the workspace's explicit-SIMD dot product
-//! (`mlr_nn::dot_f32` — shared with the network forward passes, re-exported
-//! from [`crate::plan`]).
+//! The compiler's back end: lowering a fused [`OpGraph`] to `f32` tile
+//! kernels and executing them tile-major.
+//!
+//! # Tile-major execution
+//!
+//! Every entry point — [`CompiledPlan::predict_batch`],
+//! [`CompiledPlan::predict_shot`] (a 1-shot tile),
+//! [`CompiledPlan::features_batch`] and the confidence and logit
+//! readers — runs one executor over tiles of up to [`PLAN_TILE`] shots:
+//!
+//! 1. **Trunk.** The tile's traces are flattened into one `f32` scratch
+//!    and the bank is scored by `mlr_nn::dot_tile` in register blocks of
+//!    2 rows × 3 shots, one call per run of rows sharing a nonzero span
+//!    (banded rows). Bias, the bank ReLU and any residual affine follow
+//!    elementwise.
+//! 2. **Heads.** The features are transposed into blocks of 8 shot lanes
+//!    (`x[k * 8 + lane]`) and every head's dense chain runs head-major,
+//!    one layer at a time, through `mlr_nn::dot_lanes`: a weight is read
+//!    once per 8 shots instead of once per shot, and the narrow 22- and
+//!    11-wide layers become vector work across shots.
+//! 3. **Decide.** Each shot's final logits are gathered back and decided
+//!    per shot: per-head argmax, joint decoding, marginal decoding, or
+//!    the integer heads on the shot's features.
+//!
+//! # Why verdicts do not move
+//!
+//! The tile kernels change which (row, shot) pairs share a load, never
+//! the association order inside a pair. Each pair keeps `dot_f32`'s own
+//! sequence: 32 accumulators, `(acc0+acc1)+(acc2+acc3)`, the fixed
+//! horizontal tree and the serial remainder in order. Every score is
+//! therefore bit-identical to scoring the pair alone with the tier's
+//! single-pair dot, whatever the tile size or batch split, which is what
+//! makes batch and per-shot decisions identical and keeps the
+//! reproducible tier's host-independent verdicts with no new knob.
 //!
 //! # Precision tiers
 //!
-//! Every plan scores its kernels through one of two dot tiers, selected by
+//! Every plan scores through one of two dot tiers, selected by
 //! [`PlanPrecision`]:
 //!
-//! * [`PlanPrecision::Reproducible`] (default) — `dot_f32`, the PR 6
-//!   contract: AVX2 and its scalar mirror agree **bit-for-bit** (separate
-//!   multiply-then-add, fixed reduction tree), so every host serves
-//!   identical decisions.
-//! * [`PlanPrecision::Fma`] — `fma_f32`, fused multiply-add on both the
-//!   vector path (`_mm256_fmadd_ps`) and the scalar mirror
-//!   (`f32::mul_add`). One rounding per step instead of two: slightly
-//!   *more* accurate and faster on FMA hosts, but not bit-compatible with
-//!   the reproducible tier, which is why it is opt-in.
+//! * [`PlanPrecision::Reproducible`] (default) — each pair equals
+//!   `dot_f32`: AVX2 and its scalar mirror agree **bit-for-bit**
+//!   (separate multiply-then-add, fixed reduction tree), so every host
+//!   serves identical decisions.
+//! * [`PlanPrecision::Fma`] — each pair equals `fma_f32`, fused
+//!   multiply-add on both the vector path (`_mm256_fmadd_ps`) and the
+//!   scalar mirror (`f32::mul_add`). One rounding per step instead of
+//!   two: slightly *more* accurate and faster on FMA hosts, but not
+//!   bit-compatible with the reproducible tier, which is why it is
+//!   opt-in.
 //!
-//! # Fused argmax
+//! # Argmax
 //!
-//! The final dense layer of every argmax-decided head is executed by
-//! [`DenseF32::forward_argmax`]: a running (max, index) pair per output row
-//! instead of a materialised logit vector, with the strictly-greater tie
-//! rule (ties→lowest) shared with `Mlp::predict`. Confidence callers keep
-//! the materialising paths ([`CompiledPlan::logits_shot`],
-//! [`CompiledPlan::decide_proba`]).
+//! A head with dense layers is decided by a running (max, index) fold
+//! seeded at −∞; a collapsed head (its feature slice *is* the logits) and
+//! the marginal decoder by an argmax seeded with the first element. Both
+//! use the strictly-greater rule (ties→lowest) shared with `Mlp::predict`;
+//! they differ only when the first logit is NaN. Confidence callers read
+//! the same logits through [`CompiledPlan::predict_shot_proba`] and
+//! [`CompiledPlan::logits_shot`].
 
-use mlr_nn::IntMlp;
+use std::ops::Range;
+
+use mlr_nn::{dot_lanes, dot_tile, IntMlp, PlanPrecision, SHOT_LANES};
 use mlr_num::Complex;
 
-use super::graph::{DenseOp, Op, OpGraph, OutputStage};
+use super::graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
 
-/// Shots per execution tile: kernel rows stay cache-resident across a
-/// tile, and each tile reuses one flattened-trace scratch buffer.
+/// Shots per execution tile. Kernel rows stay cache-resident across a
+/// tile, one flattened-trace scratch serves the whole tile, and the heads
+/// run over its shots in two full 8-shot lane blocks. The tile size does
+/// not change any score (see the module docs), only the work per call.
 const PLAN_TILE: usize = 16;
-
-/// Which dot-product tier a compiled plan scores with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlanPrecision {
-    /// Bit-reproducible multiply-then-add (`dot_f32`): AVX2 and scalar
-    /// agree bit-for-bit across hosts. The default.
-    #[default]
-    Reproducible,
-    /// Fused multiply-add (`fma_f32`): faster on FMA hosts and one
-    /// rounding per step, but not bit-compatible with the reproducible
-    /// tier. Opt-in via [`CompiledPlan::set_precision`].
-    Fma,
-}
-
-/// The dot function a precision tier dispatches to.
-type DotFn = fn(&[f32], &[f32]) -> f32;
-
-impl PlanPrecision {
-    fn dot(self) -> DotFn {
-        match self {
-            PlanPrecision::Reproducible => mlr_nn::dot_f32,
-            PlanPrecision::Fma => mlr_nn::fma_f32,
-        }
-    }
-}
 
 // ------------------------------------------------------------- lowering
 
@@ -84,89 +95,95 @@ impl DenseF32 {
         }
     }
 
-    fn forward(&self, x: &[f32], out: &mut Vec<f32>, dot: DotFn) {
-        debug_assert_eq!(x.len(), self.n_in);
+    /// The layer over a tile's lane blocks: block `g` reads `x(g)`
+    /// (`n_in × SHOT_LANES`, lane-major) and writes `n_out × SHOT_LANES`
+    /// at `out[g * n_out * SHOT_LANES..]`. Each lane's output is
+    /// `bias + dot(row, x)`, ReLU'd on hidden layers.
+    fn forward_lanes<'x>(
+        &self,
+        n_blocks: usize,
+        x: impl Fn(usize) -> &'x [f32],
+        out: &mut Vec<f32>,
+        precision: PlanPrecision,
+    ) {
+        let width = self.n_out * SHOT_LANES;
         out.clear();
-        out.reserve(self.n_out);
-        for (row, &bias) in self.w.chunks_exact(self.n_in).zip(&self.b) {
-            let acc = bias + dot(row, x);
-            out.push(if self.relu { acc.max(0.0) } else { acc });
+        out.resize(n_blocks * width, 0.0);
+        for g in 0..n_blocks {
+            dot_lanes(
+                precision,
+                &self.w,
+                self.n_in,
+                x(g),
+                &mut out[g * width..][..width],
+            );
         }
-    }
-
-    /// Fused final-layer argmax: tracks a running (best value, index) pair
-    /// instead of materialising the logits. Strictly-greater comparison, so
-    /// ties resolve to the lowest index — the same rule as `Mlp::predict`
-    /// and [`argmax`]. Each row's score is computed exactly as
-    /// [`DenseF32::forward`] computes it, so the winner is identical.
-    fn forward_argmax(&self, x: &[f32], dot: DotFn) -> usize {
-        debug_assert_eq!(x.len(), self.n_in);
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (o, (row, &bias)) in self.w.chunks_exact(self.n_in).zip(&self.b).enumerate() {
-            let acc = bias + dot(row, x);
-            let v = if self.relu { acc.max(0.0) } else { acc };
-            if v > best_v {
-                best = o;
-                best_v = v;
+        for (lanes, &bias) in out.chunks_exact_mut(SHOT_LANES).zip(self.b.iter().cycle()) {
+            for v in lanes {
+                let acc = bias + *v;
+                *v = if self.relu { acc.max(0.0) } else { acc };
             }
         }
-        best
     }
 }
 
-/// The lowered output stage.
+/// One head: a slice of the trunk features through a dense chain. An
+/// empty chain means the slice is already the logits (a collapsed linear
+/// head).
 #[derive(Debug, Clone)]
-enum CompiledOutput {
-    PerQubit {
-        branches: Vec<CompiledBranch>,
-    },
-    Joint {
-        layers: Vec<DenseF32>,
-        n_qubits: usize,
-        levels: usize,
-    },
-    JointMarginal {
-        layers: Vec<DenseF32>,
-        n_qubits: usize,
-        levels: usize,
-    },
-    PerQubitInt {
-        heads: Vec<IntMlp>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct CompiledBranch {
+struct CompiledHead {
     start: usize,
     len: usize,
     layers: Vec<DenseF32>,
 }
 
-impl CompiledBranch {
-    /// Runs the branch's hidden layers into `cur` and returns the input to
-    /// the final layer along with that layer, or `None` for an empty chain
-    /// (the features are already the logits).
-    fn run_hidden<'a>(
-        &'a self,
-        input: &'a [f32],
-        cur: &'a mut Vec<f32>,
-        next: &mut Vec<f32>,
-        dot: DotFn,
-    ) -> Option<(&'a [f32], &'a DenseF32)> {
-        let (last, hidden) = self.layers.split_last()?;
-        match hidden.split_first() {
-            None => Some((input, last)),
-            Some((first, rest)) => {
-                first.forward(input, cur, dot);
-                for layer in rest {
-                    layer.forward(cur, next, dot);
-                    std::mem::swap(cur, next);
-                }
-                Some((cur, last))
-            }
-        }
+impl CompiledHead {
+    /// Logits this head produces per shot.
+    fn width(&self) -> usize {
+        self.layers.last().map_or(self.len, |l| l.n_out)
     }
+
+    /// Runs the chain over a tile's `n_blocks` lane blocks of features
+    /// (`x`, one equal block each), one layer at a time across all blocks
+    /// so each layer's weights stay hot. Returns the buffer holding the
+    /// final logits, its per-block stride, and the logits' offset within
+    /// a block (the feature slice itself for an empty chain).
+    fn run<'a>(
+        &'a self,
+        x: &'a [f32],
+        n_blocks: usize,
+        cur: &'a mut Vec<f32>,
+        next: &'a mut Vec<f32>,
+        precision: PlanPrecision,
+    ) -> (&'a [f32], usize, usize) {
+        let block = x.len() / n_blocks;
+        let Some((first, rest)) = self.layers.split_first() else {
+            return (x, block, self.start * SHOT_LANES);
+        };
+        let (start, len) = (self.start * SHOT_LANES, self.len * SHOT_LANES);
+        first.forward_lanes(n_blocks, |g| &x[g * block + start..][..len], cur, precision);
+        for layer in rest {
+            let width = layer.n_in * SHOT_LANES;
+            let input: &[f32] = cur;
+            layer.forward_lanes(n_blocks, |g| &input[g * width..][..width], next, precision);
+            std::mem::swap(cur, next);
+        }
+        let width = self.width() * SHOT_LANES;
+        (cur, width, 0)
+    }
+}
+
+/// How the heads' logits become per-qubit levels.
+#[derive(Debug, Clone)]
+enum Decision {
+    /// One head per qubit, each argmaxed.
+    PerQubit,
+    /// One joint head: argmax over `levelsⁿ` classes, decoded into digits.
+    Joint { n_qubits: usize, levels: usize },
+    /// One joint head decoded by per-qubit softmax marginals.
+    JointMarginal { n_qubits: usize, levels: usize },
+    /// Integer heads on each shot's features; no float heads run.
+    Int(Vec<IntMlp>),
 }
 
 /// Argmax with the network's tie rule (strictly-greater, so ties go to the
@@ -177,6 +194,22 @@ fn argmax(xs: &[f32]) -> usize {
     for (i, &x) in xs.iter().enumerate() {
         if x > xs[best] {
             best = i;
+        }
+    }
+    best
+}
+
+/// The running (best value, index) fold seeded at −∞ that decides every
+/// head with dense layers. Strictly-greater, so ties resolve to the lowest
+/// index — the rule of `Mlp::predict`. Unlike [`argmax`], a NaN first
+/// logit never wins.
+fn running_argmax(xs: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > best_v {
+            best = i;
+            best_v = v;
         }
     }
     best
@@ -209,10 +242,38 @@ fn decide_marginal(logits: &[f32], n_qubits: usize, levels: usize) -> Vec<usize>
     marginals.iter().map(|m| argmax(m)).collect()
 }
 
+/// Splits a joint class index into per-qubit digits, most significant
+/// digit first — the same convention as `BasisState::from_flat_index`.
+fn decode_joint(joint: usize, n_qubits: usize, levels: usize) -> Vec<usize> {
+    let mut digits = vec![0usize; n_qubits];
+    let mut rem = joint;
+    for d in digits.iter_mut().rev() {
+        *d = rem % levels;
+        rem /= levels;
+    }
+    digits
+}
+
+/// One tile's working buffers, reused across the tile's stages.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The tile's traces as interleaved `f32` IQ, one stride per shot.
+    flat: Vec<f32>,
+    /// Trunk features, shot-major: shot `s` at `feats[s * n_rows..]`.
+    feats: Vec<f32>,
+    /// The tile's features in 8-shot lane blocks, `n_rows × SHOT_LANES`
+    /// each, zero-padded past the last shot.
+    lanes: Vec<f32>,
+    cur: Vec<f32>,
+    next: Vec<f32>,
+    /// Head logits, shot-major: shot `s` at `logits[s * n_logits..]`.
+    logits: Vec<f32>,
+}
+
 /// A fused single-pass inference plan: the whole per-shot pipeline —
 /// flatten, matched-filter bank, (folded) standardisation, heads, argmax —
-/// lowered to `f32` tiled kernels scored by the selected
-/// [`PlanPrecision`] tier's dot product.
+/// lowered to `f32` tile kernels on the selected [`PlanPrecision`] tier
+/// and executed tile-major (see the module docs).
 ///
 /// Compiled once at fit/load time ([`crate::plan::compile`]); the layered
 /// per-stage paths survive on each discriminator as the bit-exactness
@@ -240,7 +301,12 @@ pub struct CompiledPlan {
     /// Residual standardisation, only when no folding pass could absorb it
     /// (never the case for the shipped families — kept for generality).
     affine: Option<(Vec<f32>, Vec<f32>)>,
-    output: CompiledOutput,
+    /// The float heads, in output order: one per qubit, or the one joint
+    /// chain. Empty for integer heads.
+    heads: Vec<CompiledHead>,
+    /// Sum of the heads' widths: logits per shot.
+    n_logits: usize,
+    decision: Decision,
     fuse: super::fuse::FuseReport,
     precision: PlanPrecision,
 }
@@ -290,42 +356,53 @@ impl CompiledPlan {
         let row_bias: Vec<f32> = bank.bias.iter().map(|&x| x as f32).collect();
         assert_eq!(row_bias.len(), n_rows, "bank bias length != row count");
 
-        let output = match &graph.output {
-            OutputStage::PerQubit { branches } => CompiledOutput::PerQubit {
-                branches: branches
+        let chain = |layers: &[DenseOp], range: Range<usize>| {
+            assert!(range.end <= n_rows, "head reads past the bank");
+            CompiledHead {
+                start: range.start,
+                len: range.end - range.start,
+                layers: layers.iter().map(DenseF32::lower).collect(),
+            }
+        };
+        let (heads, decision) = match &graph.output {
+            OutputStage::PerQubit { branches } => (
+                branches
                     .iter()
-                    .map(|br| {
-                        let range = br.take.clone().unwrap_or(0..n_rows);
-                        CompiledBranch {
-                            start: range.start,
-                            len: range.end - range.start,
-                            layers: br.layers.iter().map(DenseF32::lower).collect(),
-                        }
-                    })
+                    .map(|br| chain(&br.layers, br.take.clone().unwrap_or(0..n_rows)))
                     .collect(),
-            },
+                Decision::PerQubit,
+            ),
             OutputStage::Joint {
                 layers,
                 n_qubits,
                 levels,
-            } => CompiledOutput::Joint {
-                layers: layers.iter().map(DenseF32::lower).collect(),
-                n_qubits: *n_qubits,
-                levels: *levels,
-            },
+            } => {
+                assert!(!layers.is_empty(), "joint chain needs a layer");
+                (
+                    vec![chain(layers, 0..n_rows)],
+                    Decision::Joint {
+                        n_qubits: *n_qubits,
+                        levels: *levels,
+                    },
+                )
+            }
             OutputStage::JointMarginal {
                 layers,
                 n_qubits,
                 levels,
-            } => CompiledOutput::JointMarginal {
-                layers: layers.iter().map(DenseF32::lower).collect(),
-                n_qubits: *n_qubits,
-                levels: *levels,
-            },
-            OutputStage::PerQubitInt { heads } => CompiledOutput::PerQubitInt {
-                heads: heads.clone(),
-            },
+            } => {
+                assert!(!layers.is_empty(), "joint chain needs a layer");
+                (
+                    vec![chain(layers, 0..n_rows)],
+                    Decision::JointMarginal {
+                        n_qubits: *n_qubits,
+                        levels: *levels,
+                    },
+                )
+            }
+            OutputStage::PerQubitInt { heads } => (Vec::new(), Decision::Int(heads.clone())),
         };
+        let n_logits = heads.iter().map(CompiledHead::width).sum();
 
         Self {
             n_samples,
@@ -336,7 +413,9 @@ impl CompiledPlan {
             row_bias,
             bank_relu: bank.relu,
             affine,
-            output,
+            heads,
+            n_logits,
+            decision,
             fuse,
             precision: PlanPrecision::default(),
         }
@@ -351,6 +430,77 @@ impl CompiledPlan {
     /// smaller than the model's feature dimension (collapsed linear heads).
     pub fn n_kernel_rows(&self) -> usize {
         self.n_rows
+    }
+
+    /// Each kernel row's scored span `(start, end)` within the flattened
+    /// trace: the row's nonzero window, over which its dot runs.
+    pub fn kernel_spans(&self) -> &[(usize, usize)] {
+        &self.row_spans
+    }
+
+    /// The lowered plan as an [`OpGraph`]: the `f32` weights the executor
+    /// scores, widened exactly to `f64`, with every per-qubit head's
+    /// feature range as its `take`. With [`CompiledPlan::kernel_spans`]
+    /// this is everything the executor computes from, so a reader can
+    /// re-score the plan pair by pair with the tier's single-pair dot.
+    pub fn lowered_graph(&self) -> OpGraph {
+        let widen = |xs: &[f32]| xs.iter().map(|&x| f64::from(x)).collect::<Vec<f64>>();
+        let chain = |head: &CompiledHead| {
+            head.layers
+                .iter()
+                .map(|d| DenseOp {
+                    n_in: d.n_in,
+                    n_out: d.n_out,
+                    w: widen(&d.w),
+                    b: widen(&d.b),
+                    relu: d.relu,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut trunk = vec![
+            Op::FlattenIq {
+                n_samples: self.n_samples,
+            },
+            Op::MfBank(MfBankOp {
+                rows: (0..self.n_rows)
+                    .map(|r| widen(&self.rows[r * self.stride..][..self.stride]))
+                    .collect(),
+                bias: widen(&self.row_bias),
+                relu: self.bank_relu,
+            }),
+        ];
+        if let Some((scale, shift)) = &self.affine {
+            trunk.push(Op::Affine(AffineOp {
+                scale: widen(scale),
+                shift: widen(shift),
+            }));
+        }
+        let output = match &self.decision {
+            Decision::PerQubit => OutputStage::PerQubit {
+                branches: self
+                    .heads
+                    .iter()
+                    .map(|h| Branch {
+                        take: Some(h.start..h.start + h.len),
+                        layers: chain(h),
+                    })
+                    .collect(),
+            },
+            &Decision::Joint { n_qubits, levels } => OutputStage::Joint {
+                layers: chain(&self.heads[0]),
+                n_qubits,
+                levels,
+            },
+            &Decision::JointMarginal { n_qubits, levels } => OutputStage::JointMarginal {
+                layers: chain(&self.heads[0]),
+                n_qubits,
+                levels,
+            },
+            Decision::Int(heads) => OutputStage::PerQubitInt {
+                heads: heads.clone(),
+            },
+        };
+        OpGraph { trunk, output }
     }
 
     /// Which folding passes fired when this plan was compiled.
@@ -372,49 +522,149 @@ impl CompiledPlan {
         self.precision = precision;
     }
 
-    /// Flattens a tile of traces into `flat` (interleaved `f32` IQ) and
-    /// scores every kernel row, filter-major so rows stay cache-hot.
-    /// `feats` is laid out shot-major: shot `s`'s features at
-    /// `feats[s*n_rows..][..n_rows]`.
-    fn features_into(&self, tile: &[&[Complex]], flat: &mut Vec<f32>, feats: &mut Vec<f32>) {
-        let dot = self.precision.dot();
+    /// The trunk over one tile: flattens the traces into `sc.flat` and
+    /// writes every shot's features, shot-major, into `sc.feats`. The
+    /// bank is scored by [`dot_tile`] once per run of rows sharing a span.
+    fn trunk(&self, tile: &[&[Complex]], sc: &mut Scratch) {
         let stride = self.stride;
-        flat.clear();
-        flat.resize(tile.len() * stride, 0.0);
-        for (dst, raw) in flat.chunks_exact_mut(stride).zip(tile) {
+        sc.flat.clear();
+        sc.flat.resize(tile.len() * stride, 0.0);
+        for (dst, raw) in sc.flat.chunks_exact_mut(stride).zip(tile) {
             assert_eq!(raw.len(), self.n_samples, "trace length != readout window");
             for (pair, z) in dst.chunks_exact_mut(2).zip(raw.iter()) {
                 pair[0] = z.re as f32;
                 pair[1] = z.im as f32;
             }
         }
-        feats.clear();
-        feats.resize(tile.len() * self.n_rows, 0.0);
-        for (r, ((row, &bias), &(s0, s1))) in self
-            .rows
-            .chunks_exact(stride)
-            .zip(&self.row_bias)
-            .zip(&self.row_spans)
-            .enumerate()
-        {
-            // Banded rows (boxcar chunks, checkpoint prefixes) score only
-            // their nonzero window.
-            let krow = &row[s0..s1];
-            for (s, flat_s) in flat.chunks_exact(stride).enumerate() {
-                let score = dot(&flat_s[s0..s1], krow) + bias;
-                feats[s * self.n_rows + r] = if self.bank_relu {
-                    score.max(0.0)
-                } else {
-                    score
-                };
-            }
+        sc.feats.clear();
+        sc.feats.resize(tile.len() * self.n_rows, 0.0);
+        let mut r0 = 0;
+        while r0 < self.n_rows {
+            let span = self.row_spans[r0];
+            let r1 = r0
+                + self.row_spans[r0..]
+                    .iter()
+                    .take_while(|&&s| s == span)
+                    .count();
+            dot_tile(
+                self.precision,
+                &self.rows[r0 * stride..r1 * stride],
+                &sc.flat,
+                stride,
+                span.0..span.1,
+                &mut sc.feats[r0..],
+                self.n_rows,
+            );
+            r0 = r1;
+        }
+        for (v, &bias) in sc.feats.iter_mut().zip(self.row_bias.iter().cycle()) {
+            let score = *v + bias;
+            *v = if self.bank_relu {
+                score.max(0.0)
+            } else {
+                score
+            };
         }
         if let Some((scale, shift)) = &self.affine {
-            for f in feats.chunks_exact_mut(self.n_rows) {
-                for ((v, &sc), &sh) in f.iter_mut().zip(scale).zip(shift) {
-                    *v = *v * sc + sh;
+            let per_row = scale.iter().zip(shift).cycle();
+            for (v, (&a, &b)) in sc.feats.iter_mut().zip(per_row) {
+                *v = *v * a + b;
+            }
+        }
+    }
+
+    /// The heads over one tile's features: the features are transposed
+    /// into 8-shot lane blocks, every head's chain runs head-major across
+    /// all of them one layer at a time, and each shot's logits are
+    /// written, shot-major, into `sc.logits`.
+    fn heads(&self, n_shots: usize, sc: &mut Scratch) {
+        let Scratch {
+            feats,
+            lanes,
+            cur,
+            next,
+            logits,
+            ..
+        } = sc;
+        logits.clear();
+        logits.resize(n_shots * self.n_logits, 0.0);
+        if self.heads.is_empty() {
+            return;
+        }
+        let block = self.n_rows * SHOT_LANES;
+        let n_blocks = n_shots.div_ceil(SHOT_LANES);
+        lanes.clear();
+        lanes.resize(n_blocks * block, 0.0);
+        for s in 0..n_shots {
+            let f = &feats[s * self.n_rows..][..self.n_rows];
+            let dst = &mut lanes[(s / SHOT_LANES) * block + s % SHOT_LANES..];
+            for (k, &v) in f.iter().enumerate() {
+                dst[k * SHOT_LANES] = v;
+            }
+        }
+        let mut offset = 0;
+        for head in &self.heads {
+            let (out, stride, at) = head.run(lanes, n_blocks, cur, next, self.precision);
+            let width = head.width();
+            for s in 0..n_shots {
+                let src = &out[(s / SHOT_LANES) * stride + at + s % SHOT_LANES..];
+                let dst = &mut logits[s * self.n_logits + offset..][..width];
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = src[i * SHOT_LANES];
                 }
             }
+            offset += width;
+        }
+    }
+
+    /// Runs the whole plan over one tile, leaving features and logits in
+    /// `sc`.
+    fn run_tile(&self, tile: &[&[Complex]], sc: &mut Scratch) {
+        self.trunk(tile, sc);
+        self.heads(tile.len(), sc);
+    }
+
+    /// Shot `s`'s features and head logits from a finished tile.
+    fn shot<'a>(&self, sc: &'a Scratch, s: usize) -> (&'a [f32], &'a [f32]) {
+        (
+            &sc.feats[s * self.n_rows..][..self.n_rows],
+            &sc.logits[s * self.n_logits..][..self.n_logits],
+        )
+    }
+
+    /// Pairs every float head with its slice of one shot's logits.
+    fn head_logits<'a>(
+        &'a self,
+        logits: &'a [f32],
+    ) -> impl Iterator<Item = (&'a CompiledHead, &'a [f32])> + 'a {
+        self.heads.iter().scan(0usize, move |offset, head| {
+            let width = head.width();
+            let slice = &logits[*offset..*offset + width];
+            *offset += width;
+            Some((head, slice))
+        })
+    }
+
+    /// Decides one shot's per-qubit levels from its features and logits.
+    fn decide(&self, f: &[f32], logits: &[f32]) -> Vec<usize> {
+        match &self.decision {
+            Decision::PerQubit => self
+                .head_logits(logits)
+                .map(|(head, xs)| {
+                    if head.layers.is_empty() {
+                        argmax(xs)
+                    } else {
+                        running_argmax(xs)
+                    }
+                })
+                .collect(),
+            &Decision::Joint { n_qubits, levels } => {
+                decode_joint(running_argmax(logits), n_qubits, levels)
+            }
+            &Decision::JointMarginal { n_qubits, levels } => {
+                decide_marginal(logits, n_qubits, levels)
+            }
+            Decision::Int(heads) => heads.iter().map(|h| h.predict(f)).collect(),
         }
     }
 
@@ -429,9 +679,9 @@ impl CompiledPlan {
     pub fn features_batch(&self, shots: &[&[Complex]]) -> Vec<Vec<f32>> {
         let tiles: Vec<&[&[Complex]]> = shots.chunks(PLAN_TILE).collect();
         let per_tile = crate::par_map(&tiles, |tile| {
-            let (mut flat, mut feats) = (Vec::new(), Vec::new());
-            self.features_into(tile, &mut flat, &mut feats);
-            feats
+            let mut sc = Scratch::default();
+            self.trunk(tile, &mut sc);
+            sc.feats
                 .chunks_exact(self.n_rows)
                 .map(<[f32]>::to_vec)
                 .collect::<Vec<_>>()
@@ -439,103 +689,38 @@ impl CompiledPlan {
         per_tile.into_iter().flatten().collect()
     }
 
-    /// Decides one shot's per-qubit levels from its feature vector. Every
-    /// argmax-decided head runs its final dense layer through the fused
-    /// running-max kernel ([`DenseF32::forward_argmax`]) — logits are never
-    /// materialised on this path.
-    fn decide(&self, f: &[f32]) -> Vec<usize> {
-        let dot = self.precision.dot();
-        match &self.output {
-            CompiledOutput::PerQubit { branches } => {
-                let mut out = Vec::with_capacity(branches.len());
-                let mut cur = Vec::new();
-                let mut next = Vec::new();
-                for br in branches {
-                    let input = &f[br.start..br.start + br.len];
-                    match br.run_hidden(input, &mut cur, &mut next, dot) {
-                        None => out.push(argmax(input)),
-                        Some((x, last)) => out.push(last.forward_argmax(x, dot)),
-                    }
-                }
-                out
-            }
-            CompiledOutput::Joint {
-                layers,
-                n_qubits,
-                levels,
-            } => {
-                let (last, hidden) = layers.split_last().expect("nonempty joint chain");
-                let joint = if hidden.is_empty() {
-                    last.forward_argmax(f, dot)
-                } else {
-                    let h = forward_chain(hidden, f, dot);
-                    last.forward_argmax(&h, dot)
-                };
-                decode_joint(joint, *n_qubits, *levels)
-            }
-            CompiledOutput::JointMarginal {
-                layers,
-                n_qubits,
-                levels,
-            } => {
-                // Marginal decoding needs the full softmax — no argmax
-                // fusion possible here.
-                let logits = forward_chain(layers, f, dot);
-                decide_marginal(&logits, *n_qubits, *levels)
-            }
-            CompiledOutput::PerQubitInt { heads } => heads.iter().map(|h| h.predict(f)).collect(),
-        }
-    }
-
-    /// Per-qubit `(level, confidence)` decisions from one feature vector:
-    /// each argmax head's softmax winner and its probability — the fused
-    /// form of the streaming checkpoints' confidence rule. Falls back to
-    /// probability 1.0 for heads with no probabilistic reading (collapsed
-    /// linear branches, integer heads).
-    fn decide_proba(&self, f: &[f32]) -> Vec<(usize, f64)> {
-        let dot = self.precision.dot();
-        match &self.output {
-            CompiledOutput::PerQubit { branches } => {
-                let mut out = Vec::with_capacity(branches.len());
-                let mut cur = Vec::new();
-                let mut next = Vec::new();
-                for br in branches {
-                    let input = &f[br.start..br.start + br.len];
-                    let logits: &[f32] = match br.run_hidden(input, &mut cur, &mut next, dot) {
-                        None => input,
-                        Some((x, last)) => {
-                            last.forward(x, &mut next, dot);
-                            std::mem::swap(&mut cur, &mut next);
-                            &cur
-                        }
-                    };
-                    let probs = softmax_f32(logits);
-                    let (mut best, mut best_p) = (0usize, f64::NEG_INFINITY);
-                    for (i, &p) in probs.iter().enumerate() {
-                        if (p as f64) > best_p {
-                            best = i;
-                            best_p = p as f64;
-                        }
-                    }
-                    out.push((best, best_p));
-                }
-                out
-            }
-            _ => self.decide(f).into_iter().map(|l| (l, 1.0)).collect(),
-        }
-    }
-
     /// Fused per-qubit `(level, confidence)` decisions for one raw trace —
     /// the streaming checkpoints' verdict, end-to-end on the compiled
-    /// datapath.
+    /// datapath. Each per-qubit head reports its softmax winner and that
+    /// probability; heads with no probabilistic reading (joint and integer
+    /// heads) report their decision with probability 1.0.
     ///
     /// # Panics
     ///
     /// Panics if the trace's length differs from the readout window.
     pub fn predict_shot_proba(&self, raw: &[Complex]) -> Vec<(usize, f64)> {
-        let (mut flat, mut feats) = (Vec::new(), Vec::new());
-        self.features_into(&[raw], &mut flat, &mut feats);
-        self.decide_proba(&feats)
+        let mut sc = Scratch::default();
+        self.run_tile(&[raw], &mut sc);
+        let (f, logits) = self.shot(&sc, 0);
+        let Decision::PerQubit = self.decision else {
+            return self
+                .decide(f, logits)
+                .into_iter()
+                .map(|l| (l, 1.0))
+                .collect();
+        };
+        self.head_logits(logits)
+            .map(|(_, xs)| {
+                let (mut best, mut best_p) = (0usize, f64::NEG_INFINITY);
+                for (i, &p) in softmax_f32(xs).iter().enumerate() {
+                    if (p as f64) > best_p {
+                        best = i;
+                        best_p = p as f64;
+                    }
+                }
+                (best, best_p)
+            })
+            .collect()
     }
 
     /// Raw decision scores for one trace, per head: the logits each branch
@@ -547,47 +732,35 @@ impl CompiledPlan {
     ///
     /// Panics if the trace's length differs from the readout window.
     pub fn logits_shot(&self, raw: &[Complex]) -> Vec<Vec<f32>> {
-        let dot = self.precision.dot();
-        let (mut flat, mut feats) = (Vec::new(), Vec::new());
-        self.features_into(&[raw], &mut flat, &mut feats);
-        match &self.output {
-            CompiledOutput::PerQubit { branches } => branches
-                .iter()
-                .map(|br| {
-                    let input = &feats[br.start..br.start + br.len];
-                    if br.layers.is_empty() {
-                        input.to_vec()
-                    } else {
-                        forward_chain(&br.layers, input, dot)
-                    }
-                })
+        let mut sc = Scratch::default();
+        self.run_tile(&[raw], &mut sc);
+        let (f, logits) = self.shot(&sc, 0);
+        match &self.decision {
+            Decision::Int(heads) => heads.iter().map(|h| h.forward(f)).collect(),
+            _ => self
+                .head_logits(logits)
+                .map(|(_, xs)| xs.to_vec())
                 .collect(),
-            CompiledOutput::Joint { layers, .. } | CompiledOutput::JointMarginal { layers, .. } => {
-                vec![forward_chain(layers, &feats, dot)]
-            }
-            CompiledOutput::PerQubitInt { heads } => {
-                heads.iter().map(|h| h.forward(&feats)).collect()
-            }
         }
     }
 
-    /// Classifies one raw trace through the fused single-pass datapath.
-    /// Identical arithmetic to one shot of [`CompiledPlan::predict_batch`]
-    /// — the per-(shot, kernel) dots are independent of tiling — so batch
-    /// and per-shot decisions are bit-identical by construction.
+    /// Classifies one raw trace through the fused datapath: the batch
+    /// executor run as a 1-shot tile, so batch and per-shot decisions are
+    /// bit-identical by construction.
     ///
     /// # Panics
     ///
     /// Panics if the trace's length differs from the readout window.
     pub fn predict_shot(&self, raw: &[Complex]) -> Vec<usize> {
-        let (mut flat, mut feats) = (Vec::new(), Vec::new());
-        self.features_into(&[raw], &mut flat, &mut feats);
-        self.decide(&feats)
+        let mut sc = Scratch::default();
+        self.run_tile(&[raw], &mut sc);
+        let (f, logits) = self.shot(&sc, 0);
+        self.decide(f, logits)
     }
 
     /// Classifies a batch of raw traces: 16-shot tiles fanned over worker
-    /// threads (`MLR_THREADS` honoured via [`crate::par_map`]), one
-    /// flattened-trace scratch per tile, kernel rows read once per tile.
+    /// threads (`MLR_THREADS` honoured via [`crate::par_map`]), each run
+    /// tile-major through the trunk and the heads with one scratch.
     ///
     /// # Panics
     ///
@@ -595,38 +768,109 @@ impl CompiledPlan {
     pub fn predict_batch(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
         let tiles: Vec<&[&[Complex]]> = shots.chunks(PLAN_TILE).collect();
         let per_tile = crate::par_map(&tiles, |tile| {
-            let (mut flat, mut feats) = (Vec::new(), Vec::new());
-            self.features_into(tile, &mut flat, &mut feats);
-            feats
-                .chunks_exact(self.n_rows)
-                .map(|f| self.decide(f))
+            let mut sc = Scratch::default();
+            self.run_tile(tile, &mut sc);
+            (0..tile.len())
+                .map(|s| {
+                    let (f, logits) = self.shot(&sc, s);
+                    self.decide(f, logits)
+                })
                 .collect::<Vec<_>>()
         });
         per_tile.into_iter().flatten().collect()
     }
 }
 
-/// Runs a dense chain on `x`, returning the final layer's outputs.
-fn forward_chain(layers: &[DenseF32], x: &[f32], dot: DotFn) -> Vec<f32> {
-    let (first, rest) = layers.split_first().expect("nonempty chain");
-    let mut cur = Vec::new();
-    let mut next = Vec::new();
-    first.forward(x, &mut cur, dot);
-    for layer in rest {
-        layer.forward(&cur, &mut next, dot);
-        std::mem::swap(&mut cur, &mut next);
-    }
-    cur
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::fuse::FuseReport;
+    use crate::plan::graph::AffineOp;
 
-/// Splits a joint class index into per-qubit digits, most significant
-/// digit first — the same convention as `BasisState::from_flat_index`.
-fn decode_joint(joint: usize, n_qubits: usize, levels: usize) -> Vec<usize> {
-    let mut digits = vec![0usize; n_qubits];
-    let mut rem = joint;
-    for d in digits.iter_mut().rev() {
-        *d = rem % levels;
-        rem /= levels;
+    /// Deterministic values in `[-1, 1)`.
+    fn values(n: usize, seed: u32) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                f64::from(state >> 8) / f64::from(1u32 << 23) - 1.0
+            })
+            .collect()
     }
-    digits
+
+    #[test]
+    fn residual_affine_follows_the_bank_per_feature() {
+        // `fuse` always absorbs the standardizer, so only a graph lowered
+        // unfused keeps a residual affine. The tile executor must apply it
+        // after the bias exactly as the per-shot arithmetic does, and
+        // decide a ragged batch as it decides each shot alone.
+        let (n_samples, n_rows) = (37, 5);
+        let stride = 2 * n_samples;
+        let rows: Vec<Vec<f64>> = (0..n_rows).map(|r| values(stride, 7 + r as u32)).collect();
+        let dense = |n_in, n_out, seed, relu| DenseOp {
+            n_in,
+            n_out,
+            w: values(n_in * n_out, seed),
+            b: values(n_out, seed + 1),
+            relu,
+        };
+        let graph = OpGraph {
+            trunk: vec![
+                Op::FlattenIq { n_samples },
+                Op::MfBank(MfBankOp {
+                    rows: rows.clone(),
+                    bias: values(n_rows, 3),
+                    relu: false,
+                }),
+                Op::Affine(AffineOp {
+                    scale: values(n_rows, 4),
+                    shift: values(n_rows, 5),
+                }),
+            ],
+            output: OutputStage::PerQubit {
+                branches: vec![
+                    Branch {
+                        take: None,
+                        layers: vec![dense(n_rows, 4, 20, true), dense(4, 3, 30, false)],
+                    },
+                    Branch {
+                        take: Some(2..5),
+                        layers: Vec::new(),
+                    },
+                ],
+            },
+        };
+        let plan = CompiledPlan::lower(&graph, FuseReport::default());
+        let traces: Vec<Vec<Complex>> = (0..19)
+            .map(|s| {
+                let v = values(stride, 100 + s);
+                v.chunks_exact(2)
+                    .map(|p| Complex::new(p[0], p[1]))
+                    .collect()
+            })
+            .collect();
+        let shots: Vec<&[Complex]> = traces.iter().map(Vec::as_slice).collect();
+
+        let feats = plan.features_batch(&shots);
+        let Op::MfBank(bank) = &graph.trunk[1] else {
+            unreachable!()
+        };
+        let Op::Affine(affine) = &graph.trunk[2] else {
+            unreachable!()
+        };
+        for (f, raw) in feats.iter().zip(&shots) {
+            let flat: Vec<f32> = raw
+                .iter()
+                .flat_map(|z| [z.re as f32, z.im as f32])
+                .collect();
+            for (r, row) in rows.iter().enumerate() {
+                let row: Vec<f32> = row.iter().map(|&x| x as f32).collect();
+                let score = mlr_nn::dot_f32_scalar(&flat, &row) + bank.bias[r] as f32;
+                let want = score * affine.scale[r] as f32 + affine.shift[r] as f32;
+                assert_eq!(f[r].to_bits(), want.to_bits(), "feature {r}");
+            }
+        }
+        let one_by_one: Vec<Vec<usize>> = shots.iter().map(|raw| plan.predict_shot(raw)).collect();
+        assert_eq!(plan.predict_batch(&shots), one_by_one);
+    }
 }

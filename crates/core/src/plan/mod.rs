@@ -6,16 +6,26 @@
 //! removes those seams. The pipeline is first described as an op graph
 //! ([`OpGraph`]), algebraic folding passes then absorb the standardizer
 //! into neighbouring weights ([`fuse`]), and the result lowers to `f32`
-//! tiled kernels scored by an explicit-SIMD dot product
-//! ([`CompiledPlan`]):
+//! tile kernels executed tile-major ([`CompiledPlan`]):
 //!
 //! ```text
 //!   build             fuse                        lower
 //! FlattenIq         FlattenIq                  CompiledPlan
 //! MfBank      ──►   MfBank  (∘ 1/σ, −μ/σ)  ──►   rows: contiguous f32
-//! Affine            heads  (W∘s, b + W·t)        dot_f32 | fma_f32
-//! heads                                          tiles of 16 shots
+//! Affine            heads  (W∘s, b + W·t)        tiles of 16 shots
+//! heads
 //! ```
+//!
+//! | stage | kernel | blocking | per-pair order |
+//! |---|---|---|---|
+//! | bank | [`dot_tile`] | 2 rows × 3 shots, two half passes per 32-float chunk | `dot_f32` / `fma_f32` |
+//! | heads | [`dot_lanes`] | one layer over 8 shot lanes, 4 output rows at a time | `dot_f32` / `fma_f32` |
+//! | decide | scalar | per shot | argmax, joint or marginal decoding, integer heads |
+//!
+//! Both kernels keep each (row, shot) pair's reduction exactly as the
+//! single-pair dot of the plan's [`PlanPrecision`] tier performs it
+//! (32 accumulators, `(acc0+acc1)+(acc2+acc3)`, the fixed horizontal tree,
+//! the serial remainder), so tiling moves no score by a single bit.
 //!
 //! Plans are **derived data**: every constructor (fit, load, quantise)
 //! compiles one, nothing is serialised, and the saved-model envelope is
@@ -44,17 +54,21 @@ mod exec;
 mod fuse;
 mod graph;
 
-pub use exec::{CompiledPlan, PlanPrecision};
+pub use exec::CompiledPlan;
 pub use fuse::{
     collapse_linear_heads, fold_affine_into_bank, fold_affine_into_dense, fuse, FuseReport,
 };
 pub use graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
-// The SIMD dot kernels live in `mlr_nn` (so the network's own forward
-// passes share them) and are re-exported here, where the plan executor's
-// callers and the property tests have always found them.
-pub use mlr_nn::{dot_f32, dot_f32_scalar, fma_active, fma_f32, fma_f32_scalar, simd_active};
+// The SIMD dot and tile kernels and the precision tiers live in `mlr_nn`
+// (so the network's own forward passes share them) and are re-exported
+// here, where the plan executor's callers and the property tests have
+// always found them.
+pub use mlr_nn::{
+    dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar, fma_active,
+    fma_f32, fma_f32_scalar, simd_active, PlanPrecision, SHOT_LANES,
+};
 #[cfg(target_arch = "x86_64")]
-pub use mlr_nn::{dot_f32_avx2, fma_f32_avx2};
+pub use mlr_nn::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, fma_f32_avx2};
 
 use crate::features::FeatureExtractor;
 use mlr_nn::{IntMlp, Mlp, Standardizer};

@@ -171,15 +171,22 @@ impl TrainedModel {
     /// False for QDA (per-class quadratic form) and the HMM (sequential
     /// decoding), which cannot lower to static kernel banks.
     pub fn has_plan(&self) -> bool {
+        !self.plans().is_empty()
+    }
+
+    /// Every compiled plan this model serves through: one for most
+    /// plan-capable families, one per checkpoint for OURS-STREAM, none
+    /// for QDA and the HMM.
+    pub fn plans(&self) -> Vec<&crate::CompiledPlan> {
         match &self.inner {
-            Family::Ours(_)
-            | Family::Deployed(_)
-            | Family::Herqules(_)
-            | Family::Fnn(_)
-            | Family::Streaming(_)
-            | Family::Autoencoder(_) => true,
-            Family::Discriminant(m) => m.plan().is_some(),
-            Family::Hmm(_) => false,
+            Family::Ours(m) => vec![m.plan()],
+            Family::Deployed(m) => vec![m.plan()],
+            Family::Herqules(m) => vec![m.plan()],
+            Family::Fnn(m) => vec![m.plan()],
+            Family::Streaming(m) => m.checkpoint_plans().iter().collect(),
+            Family::Autoencoder(m) => vec![m.plan()],
+            Family::Discriminant(m) => m.plan().into_iter().collect(),
+            Family::Hmm(_) => Vec::new(),
         }
     }
 

@@ -25,7 +25,68 @@
 //! this tier does **not** promise bit-equality with [`dot_f32`]; its
 //! contract is tolerance-level agreement (≈1e-5 relative on standardised
 //! features), which is why plans only select it through an explicit
-//! `PlanPrecision` knob and the default stays bit-reproducible.
+//! [`PlanPrecision`] knob and the default stays bit-reproducible.
+//!
+//! # Tile kernels
+//!
+//! [`dot_tile`] and [`dot_lanes`] score many (row, shot) pairs per call,
+//! and every pair's result is bit-identical to the single-pair dot of the
+//! selected tier ([`dot_f32`] or [`fma_f32`]): each pair keeps its own 32
+//! accumulators, the same `(acc0+acc1)+(acc2+acc3)` lane fold, the same
+//! horizontal tree and the same serial remainder. Only which pairs share
+//! a load changes, never the association order inside a pair.
+//!
+//! * [`dot_tile`] scores a block of kernel rows against a block of
+//!   shots in register blocks of 2 rows × 3 shots. All four accumulators
+//!   of six pairs would need 24 vector registers and AVX2 has 16, so each
+//!   block makes two half passes over every 32-float chunk with twelve
+//!   live: the first keeps `acc0`/`acc1` and folds them to `acc0+acc1`,
+//!   the second does the same for `acc2`/`acc3`, and the two folds are
+//!   added last.
+//! * [`dot_lanes`] scores a dense layer over [`SHOT_LANES`] shots held
+//!   lane-major (`x[k * SHOT_LANES + lane]`). Each AVX2 lane is one shot
+//!   running the scalar [`dot_f32_scalar`] sequence, so a width-22 or
+//!   width-11 layer, which a single dot spends entirely in its serial
+//!   remainder, becomes vector work across shots.
+//!
+//! Both have an AVX2 path and a scalar mirror that calls the tier's
+//! scalar dot per pair; the property tests pin all of them against
+//! [`dot_f32_scalar`] and [`fma_f32_scalar`].
+
+use std::ops::Range;
+
+/// Which dot-product tier a kernel scores with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PlanPrecision {
+    /// Bit-reproducible multiply-then-add ([`dot_f32`]): AVX2 and scalar
+    /// agree bit-for-bit across hosts. The default.
+    #[default]
+    Reproducible,
+    /// Fused multiply-add ([`fma_f32`]): faster on FMA hosts and one
+    /// rounding per step, but not bit-compatible with the reproducible
+    /// tier. Opt-in.
+    Fma,
+}
+
+impl PlanPrecision {
+    /// The tier's scalar single-pair dot, which every tile kernel of the
+    /// tier reproduces per pair.
+    fn scalar_dot(self) -> fn(&[f32], &[f32]) -> f32 {
+        match self {
+            PlanPrecision::Reproducible => dot_f32_scalar,
+            PlanPrecision::Fma => fma_f32_scalar,
+        }
+    }
+
+    /// Whether this host serves the tier's vector path.
+    #[cfg(target_arch = "x86_64")]
+    fn vector_active(self) -> bool {
+        match self {
+            PlanPrecision::Reproducible => simd_active(),
+            PlanPrecision::Fma => fma_active(),
+        }
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 fn avx2_enabled() -> bool {
@@ -295,6 +356,490 @@ pub fn fma_f32(a: &[f32], b: &[f32]) -> f32 {
     fma_f32_scalar(a, b)
 }
 
+/// Shots per lane block of [`dot_lanes`]: one AVX2 vector of `f32`.
+pub const SHOT_LANES: usize = 8;
+
+/// The shape checks every [`dot_tile`] entry point makes; returns the
+/// row and shot counts.
+fn tile_shape(
+    rows: &[f32],
+    shots: &[f32],
+    stride: usize,
+    span: &Range<usize>,
+    out: &[f32],
+    out_stride: usize,
+) -> (usize, usize) {
+    assert!(stride > 0, "tile stride must be positive");
+    assert!(
+        rows.len().is_multiple_of(stride) && shots.len().is_multiple_of(stride),
+        "tile blocks must hold whole rows and shots"
+    );
+    assert!(
+        span.start <= span.end && span.end <= stride,
+        "span {span:?} outside stride {stride}"
+    );
+    let (n_rows, n_shots) = (rows.len() / stride, shots.len() / stride);
+    if n_rows > 0 && n_shots > 0 {
+        assert!(
+            n_rows <= out_stride && (n_shots - 1) * out_stride + n_rows <= out.len(),
+            "tile output too small"
+        );
+    }
+    (n_rows, n_shots)
+}
+
+/// The shape checks every [`dot_lanes`] entry point makes; returns the
+/// output row count.
+fn lanes_shape(w: &[f32], n_in: usize, x: &[f32], out: &[f32]) -> usize {
+    assert!(
+        out.len().is_multiple_of(SHOT_LANES),
+        "lane output must hold whole lane rows"
+    );
+    let n_out = out.len() / SHOT_LANES;
+    assert_eq!(w.len(), n_out * n_in, "weights != n_out × n_in");
+    assert_eq!(x.len(), n_in * SHOT_LANES, "lane input != n_in × lanes");
+    n_out
+}
+
+/// Scores every (row, shot) pair of a row block against a shot block:
+/// `out[s * out_stride + r] = dot(&shot_s[span], &row_r[span])`, where
+/// row `r` is `rows[r * stride..][..stride]` and shot `s` is
+/// `shots[s * stride..][..stride]`. Each result is bit-identical to the
+/// tier's single-pair dot ([`dot_f32`] or [`fma_f32`]) on the same
+/// slices; see the module docs for the register blocking.
+///
+/// # Panics
+///
+/// Panics if `stride` is zero, either block is not a whole number of
+/// strides, `span` leaves the stride, or `out` cannot hold the result.
+pub fn dot_tile(
+    precision: PlanPrecision,
+    rows: &[f32],
+    shots: &[f32],
+    stride: usize,
+    span: Range<usize>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if precision.vector_active() {
+        return dot_tile_avx2(precision, rows, shots, stride, span, out, out_stride);
+    }
+    dot_tile_scalar(precision, rows, shots, stride, span, out, out_stride);
+}
+
+/// [`dot_tile`]'s scalar mirror: the tier's scalar dot per pair.
+///
+/// # Panics
+///
+/// As [`dot_tile`].
+pub fn dot_tile_scalar(
+    precision: PlanPrecision,
+    rows: &[f32],
+    shots: &[f32],
+    stride: usize,
+    span: Range<usize>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    tile_shape(rows, shots, stride, &span, out, out_stride);
+    let dot = precision.scalar_dot();
+    for (r, row) in rows.chunks_exact(stride).enumerate() {
+        for (s, shot) in shots.chunks_exact(stride).enumerate() {
+            out[s * out_stride + r] = dot(&shot[span.clone()], &row[span.clone()]);
+        }
+    }
+}
+
+/// [`dot_tile`]'s AVX2 path (2 × 3 register blocks), exposed for the
+/// bit-agreement tests.
+///
+/// # Panics
+///
+/// Panics if the tier's vector path is unavailable on this host (see
+/// [`simd_active`] and [`fma_active`]), and as [`dot_tile`].
+#[cfg(target_arch = "x86_64")]
+pub fn dot_tile_avx2(
+    precision: PlanPrecision,
+    rows: &[f32],
+    shots: &[f32],
+    stride: usize,
+    span: Range<usize>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    assert!(
+        precision.vector_active(),
+        "{precision:?} vector path unavailable"
+    );
+    let (n_rows, n_shots) = tile_shape(rows, shots, stride, &span, out, out_stride);
+    let row = |r: usize| &rows[r * stride..][span.clone()];
+    let shot = |s: usize| &shots[s * stride..][span.clone()];
+    let mut s = 0;
+    while s < n_shots {
+        let sb = (n_shots - s).min(3);
+        let mut r = 0;
+        while r < n_rows {
+            let rb = (n_rows - r).min(2);
+            let at = &mut out[s * out_stride + r..];
+            // SAFETY: the tier's vector path was checked above, and every
+            // row and shot slice has the span's length.
+            unsafe {
+                match (rb, sb) {
+                    (2, 3) => avx2::block::<2, 3>(precision, row, shot, r, s, at, out_stride),
+                    (2, 2) => avx2::block::<2, 2>(precision, row, shot, r, s, at, out_stride),
+                    (2, _) => avx2::block::<2, 1>(precision, row, shot, r, s, at, out_stride),
+                    (_, 3) => avx2::block::<1, 3>(precision, row, shot, r, s, at, out_stride),
+                    (_, 2) => avx2::block::<1, 2>(precision, row, shot, r, s, at, out_stride),
+                    _ => avx2::block::<1, 1>(precision, row, shot, r, s, at, out_stride),
+                }
+            }
+            r += rb;
+        }
+        s += sb;
+    }
+}
+
+/// Scores a dense layer over a block of [`SHOT_LANES`] shots held
+/// lane-major: with `n_out = out.len() / SHOT_LANES`,
+/// `out[o * SHOT_LANES + l] = dot(&w[o * n_in..][..n_in], column l of x)`
+/// where column `l` is `x[k * SHOT_LANES + l]` for `k < n_in`. Each result
+/// is bit-identical to the tier's single-pair dot ([`dot_f32`] or
+/// [`fma_f32`]) of the weight row against that shot's activations.
+///
+/// # Panics
+///
+/// Panics unless `out` holds whole lane rows, `w` is `n_out × n_in` and
+/// `x` is `n_in × SHOT_LANES`.
+pub fn dot_lanes(precision: PlanPrecision, w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if precision.vector_active() {
+        return dot_lanes_avx2(precision, w, n_in, x, out);
+    }
+    dot_lanes_scalar(precision, w, n_in, x, out);
+}
+
+/// [`dot_lanes`]'s scalar mirror: gathers each shot's column and runs
+/// the tier's scalar dot per (row, shot) pair.
+///
+/// # Panics
+///
+/// As [`dot_lanes`].
+pub fn dot_lanes_scalar(
+    precision: PlanPrecision,
+    w: &[f32],
+    n_in: usize,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    let n_out = lanes_shape(w, n_in, x, out);
+    let dot = precision.scalar_dot();
+    let mut column = vec![0.0f32; n_in];
+    for lane in 0..SHOT_LANES {
+        for (k, c) in column.iter_mut().enumerate() {
+            *c = x[k * SHOT_LANES + lane];
+        }
+        for o in 0..n_out {
+            out[o * SHOT_LANES + lane] = dot(&w[o * n_in..][..n_in], &column);
+        }
+    }
+}
+
+/// [`dot_lanes`]' AVX2 path, exposed for the bit-agreement tests.
+///
+/// # Panics
+///
+/// Panics if the tier's vector path is unavailable on this host (see
+/// [`simd_active`] and [`fma_active`]), and as [`dot_lanes`].
+#[cfg(target_arch = "x86_64")]
+pub fn dot_lanes_avx2(
+    precision: PlanPrecision,
+    w: &[f32],
+    n_in: usize,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    assert!(
+        precision.vector_active(),
+        "{precision:?} vector path unavailable"
+    );
+    lanes_shape(w, n_in, x, out);
+    // SAFETY: the tier's vector path was checked above, and the shapes
+    // the kernel indexes by were checked by `lanes_shape`.
+    unsafe {
+        match precision {
+            PlanPrecision::Reproducible => avx2::lanes_muladd(w, n_in, x, out),
+            PlanPrecision::Fma => avx2::lanes_fused(w, n_in, x, out),
+        }
+    }
+}
+
+/// The AVX2 tile kernels, generic over the tier's multiply-accumulate.
+/// The generic bodies are `#[inline(always)]` so they, and the
+/// intrinsics they call, compile inside the `target_feature` entry
+/// points at the bottom.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+
+    use super::{finish_dot, finish_fma, PlanPrecision, SHOT_LANES};
+
+    /// One tier's multiply-accumulate: the vector step and the scalar
+    /// tail shared with the single-pair dot.
+    trait Mac {
+        /// `acc + a·b` with the tier's rounding.
+        ///
+        /// # Safety
+        ///
+        /// The tier's CPU features must be available.
+        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256;
+        /// Horizontal tree plus serial remainder, as the single-pair dot.
+        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32;
+    }
+
+    /// The reproducible tier: separate multiply, then add.
+    struct MulAdd;
+    /// The FMA tier: one fused rounding per step.
+    struct Fused;
+
+    impl Mac for MulAdd {
+        #[inline(always)]
+        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+        }
+        #[inline(always)]
+        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
+            finish_dot(lanes, ra, rb)
+        }
+    }
+
+    impl Mac for Fused {
+        #[inline(always)]
+        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256 {
+            _mm256_fmadd_ps(a, b, acc)
+        }
+        #[inline(always)]
+        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
+            finish_fma(lanes, ra, rb)
+        }
+    }
+
+    /// One `R`-row × `S`-shot register block, written to
+    /// `out[s * out_stride + r]` for the block's local `r`, `s`.
+    ///
+    /// # Safety
+    ///
+    /// The tier's CPU features must be available, and every slice
+    /// `row(r0 + i)` / `shot(s0 + j)` must have the same length.
+    #[inline(always)]
+    unsafe fn block_in<'a, M: Mac, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let k: [&[f32]; R] = std::array::from_fn(|i| row(r0 + i));
+        let x: [&[f32]; S] = std::array::from_fn(|j| shot(s0 + j));
+        let n = k[0].len();
+        let full = n - n % 32;
+        let mut sums = [[_mm256_setzero_ps(); S]; R];
+        // Half pass 0 keeps acc0/acc1 (floats 0..16 of every 32-float
+        // chunk), half pass 1 keeps acc2/acc3 (floats 16..32); folding
+        // each pass's pair and then adding the two gives the single-pair
+        // dot's (acc0+acc1)+(acc2+acc3).
+        for half in [0usize, 16] {
+            let mut lo = [[_mm256_setzero_ps(); S]; R];
+            let mut hi = [[_mm256_setzero_ps(); S]; R];
+            let mut i = half;
+            while i < full {
+                for r in 0..R {
+                    let kp = k[r].as_ptr().add(i);
+                    let (k0, k1) = (_mm256_loadu_ps(kp), _mm256_loadu_ps(kp.add(8)));
+                    for s in 0..S {
+                        let xp = x[s].as_ptr().add(i);
+                        lo[r][s] = M::mac(lo[r][s], _mm256_loadu_ps(xp), k0);
+                        hi[r][s] = M::mac(hi[r][s], _mm256_loadu_ps(xp.add(8)), k1);
+                    }
+                }
+                i += 32;
+            }
+            for r in 0..R {
+                for s in 0..S {
+                    let pair = _mm256_add_ps(lo[r][s], hi[r][s]);
+                    sums[r][s] = if half == 0 {
+                        pair
+                    } else {
+                        _mm256_add_ps(sums[r][s], pair)
+                    };
+                }
+            }
+        }
+        for r in 0..R {
+            for s in 0..S {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), sums[r][s]);
+                out[s * out_stride + r] = M::finish(&lanes, &x[s][full..], &k[r][full..]);
+            }
+        }
+    }
+
+    /// `R` output rows of a lane layer, starting at row `o`.
+    ///
+    /// # Safety
+    ///
+    /// The tier's CPU features must be available, `w` must hold rows
+    /// `o..o + R` of width `n_in`, `x` must be `n_in × SHOT_LANES` and
+    /// `out` must hold rows `o..o + R` of `SHOT_LANES`.
+    #[inline(always)]
+    unsafe fn lane_rows<M: Mac, const R: usize>(
+        w: &[f32],
+        n_in: usize,
+        o: usize,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        let full = n_in - n_in % 32;
+        let xp = x.as_ptr();
+        let wp = w.as_ptr().add(o * n_in);
+        let mut total = [_mm256_setzero_ps(); R];
+        if full > 0 {
+            for (r, t) in total.iter_mut().enumerate() {
+                let wr = wp.add(r * n_in);
+                let mut lanes = [_mm256_setzero_ps(); 8];
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    // Accumulators l, 8+l, 16+l, 24+l of the single-pair
+                    // dot, for eight shots at once.
+                    let mut acc = [_mm256_setzero_ps(); 4];
+                    let mut c = 0;
+                    while c < full {
+                        for (q, a) in acc.iter_mut().enumerate() {
+                            let k = c + 8 * q + l;
+                            let xk = _mm256_loadu_ps(xp.add(k * SHOT_LANES));
+                            *a = M::mac(*a, xk, _mm256_set1_ps(*wr.add(k)));
+                        }
+                        c += 32;
+                    }
+                    *lane =
+                        _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+                }
+                *t = _mm256_add_ps(
+                    _mm256_add_ps(
+                        _mm256_add_ps(lanes[0], lanes[1]),
+                        _mm256_add_ps(lanes[2], lanes[3]),
+                    ),
+                    _mm256_add_ps(
+                        _mm256_add_ps(lanes[4], lanes[5]),
+                        _mm256_add_ps(lanes[6], lanes[7]),
+                    ),
+                );
+            }
+        }
+        // The serial remainder, interleaved across the R rows so their
+        // dependency chains overlap.
+        for k in full..n_in {
+            let xk = _mm256_loadu_ps(xp.add(k * SHOT_LANES));
+            for (r, t) in total.iter_mut().enumerate() {
+                *t = M::mac(*t, xk, _mm256_set1_ps(*wp.add(r * n_in + k)));
+            }
+        }
+        let op = out.as_mut_ptr().add(o * SHOT_LANES);
+        for (r, t) in total.iter().enumerate() {
+            _mm256_storeu_ps(op.add(r * SHOT_LANES), *t);
+        }
+    }
+
+    /// A whole lane layer: blocks of four output rows, then single rows.
+    ///
+    /// # Safety
+    ///
+    /// As [`lane_rows`], for every row below `out.len() / SHOT_LANES`.
+    #[inline(always)]
+    unsafe fn lanes<M: Mac>(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+        let n_out = out.len() / SHOT_LANES;
+        let mut o = 0;
+        while o + 4 <= n_out {
+            lane_rows::<M, 4>(w, n_in, o, x, out);
+            o += 4;
+        }
+        while o < n_out {
+            lane_rows::<M, 1>(w, n_in, o, x, out);
+            o += 1;
+        }
+    }
+
+    /// One register block on `precision`'s tier.
+    ///
+    /// # Safety
+    ///
+    /// The tier's vector path must be available; as [`block_in`]
+    /// otherwise.
+    pub(super) unsafe fn block<'a, const R: usize, const S: usize>(
+        precision: PlanPrecision,
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        match precision {
+            PlanPrecision::Reproducible => block_muladd::<R, S>(row, shot, r0, s0, out, out_stride),
+            PlanPrecision::Fma => block_fused::<R, S>(row, shot, r0, s0, out, out_stride),
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_muladd<'a, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        block_in::<MulAdd, R, S>(row, shot, r0, s0, out, out_stride)
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn block_fused<'a, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        block_in::<Fused, R, S>(row, shot, r0, s0, out, out_stride)
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 must be available; as [`lanes`] otherwise.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lanes_muladd(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+        lanes::<MulAdd>(w, n_in, x, out)
+    }
+
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; as [`lanes`] otherwise.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn lanes_fused(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+        lanes::<Fused>(w, n_in, x, out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +867,47 @@ mod tests {
                     dot_f32_scalar(&a, &b).to_bits(),
                     "length {n}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn tile_kernels_agree_bitwise_with_the_single_pair_dot() {
+        for precision in [PlanPrecision::Reproducible, PlanPrecision::Fma] {
+            let dot = precision.scalar_dot();
+            for (n, n_rows, n_shots) in [(0, 2, 3), (22, 17, 1), (45, 5, 7), (1000, 3, 4)] {
+                // One padding float per stride, so the span is banded.
+                let stride = n + 1;
+                let (rows, shots) = vecs(n_rows.max(n_shots) * stride);
+                let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
+                let mut out = vec![0.0f32; n_rows * n_shots];
+                dot_tile(precision, rows, shots, stride, 0..n, &mut out, n_rows);
+                for r in 0..n_rows {
+                    for s in 0..n_shots {
+                        let want = dot(&shots[s * stride..][..n], &rows[r * stride..][..n]);
+                        assert_eq!(
+                            out[s * n_rows + r].to_bits(),
+                            want.to_bits(),
+                            "{n} ({r}, {s})"
+                        );
+                    }
+                }
+
+                let w = &rows[..n_rows * n];
+                let (x, _) = vecs(n * SHOT_LANES);
+                let mut out = vec![0.0f32; n_rows * SHOT_LANES];
+                dot_lanes(precision, w, n, &x, &mut out);
+                for lane in 0..SHOT_LANES {
+                    let column: Vec<f32> = (0..n).map(|k| x[k * SHOT_LANES + lane]).collect();
+                    for o in 0..n_rows {
+                        let want = dot(&w[o * n..][..n], &column);
+                        assert_eq!(
+                            out[o * SHOT_LANES + lane].to_bits(),
+                            want.to_bits(),
+                            "{n} ({o}, {lane})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -219,6 +219,199 @@ fn joint_zoo() -> &'static JointZoo {
     })
 }
 
+/// A scalar single-pair dot product.
+type DotFn = fn(&[f32], &[f32]) -> f32;
+
+/// The reproducible (`fma == false`) or FMA precision tier, with the
+/// scalar single-pair dot whose sequence its kernels must reproduce.
+fn tier(fma: bool) -> (mlr_core::plan::PlanPrecision, DotFn) {
+    use mlr_core::plan::{dot_f32_scalar, fma_f32_scalar, PlanPrecision};
+    if fma {
+        (PlanPrecision::Fma, fma_f32_scalar)
+    } else {
+        (PlanPrecision::Reproducible, dot_f32_scalar)
+    }
+}
+
+/// Whether two kernel results are the same to the bit, counting any two
+/// NaNs as equal (a NaN's payload carries no verdict).
+fn same_bits(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Deterministic kernel inputs of one flavour: 0 plain, 1 with NaNs,
+/// 2 with many signed zeros, 3 ReLU outputs (non-negative, many zeros).
+fn kernel_data(n: usize, seed: u64, flavour: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state >> 40) as f32 / (1u64 << 24) as f32;
+            let v = 6.0 * u - 3.0;
+            let pick = state % 8;
+            match flavour {
+                1 if pick == 0 => f32::NAN,
+                2 if pick == 0 => -0.0,
+                2 if pick < 3 => 0.0,
+                3 => v.max(0.0),
+                _ => v,
+            }
+        })
+        .collect()
+}
+
+/// One shot through the per-shot plan arithmetic the tile executor
+/// replaced: the trunk features, each head's logits (the integer heads'
+/// dequantised outputs) and the per-qubit verdict.
+struct ReferenceShot {
+    feats: Vec<f32>,
+    logits: Vec<Vec<f32>>,
+    levels: Vec<usize>,
+}
+
+/// Re-scores one shot from a plan's own lowered weights with a scalar
+/// single-pair `dot` per (kernel row, shot) over the row's span and per
+/// (head row, shot), then applies the decision rules (running argmax for
+/// heads with layers, first-element argmax for collapsed heads and
+/// marginals).
+fn reference_shot(
+    graph: &mlr_core::plan::OpGraph,
+    spans: &[(usize, usize)],
+    dot: DotFn,
+    raw: &[Complex],
+) -> ReferenceShot {
+    use mlr_core::plan::{DenseOp, Op, OutputStage};
+    let narrow = |xs: &[f64]| xs.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+    let flat: Vec<f32> = raw
+        .iter()
+        .flat_map(|z| [z.re as f32, z.im as f32])
+        .collect();
+    let Op::MfBank(bank) = &graph.trunk[1] else {
+        panic!("lowered trunk scores a bank second");
+    };
+    let mut feats: Vec<f32> = bank
+        .rows
+        .iter()
+        .zip(&bank.bias)
+        .zip(spans)
+        .map(|((row, &bias), &(s0, s1))| {
+            let score = dot(&flat[s0..s1], &narrow(&row[s0..s1])) + bias as f32;
+            if bank.relu {
+                score.max(0.0)
+            } else {
+                score
+            }
+        })
+        .collect();
+    if let Some(Op::Affine(affine)) = graph.trunk.get(2) {
+        for ((v, &a), &b) in feats.iter_mut().zip(&affine.scale).zip(&affine.shift) {
+            *v = *v * a as f32 + b as f32;
+        }
+    }
+    let forward = |layers: &[DenseOp], x: &[f32]| {
+        let mut cur = x.to_vec();
+        for d in layers {
+            cur = narrow(&d.w)
+                .chunks_exact(d.n_in)
+                .zip(narrow(&d.b))
+                .map(|(row, bias)| {
+                    let acc = bias + dot(row, &cur);
+                    if d.relu {
+                        acc.max(0.0)
+                    } else {
+                        acc
+                    }
+                })
+                .collect();
+        }
+        cur
+    };
+    let running_argmax = |xs: &[f32]| {
+        xs.iter()
+            .enumerate()
+            .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
+                if v > bv {
+                    (i, v)
+                } else {
+                    (bi, bv)
+                }
+            })
+            .0
+    };
+    let first_argmax = |xs: &[f32]| {
+        let mut best = 0;
+        for (i, &x) in xs.iter().enumerate() {
+            if x > xs[best] {
+                best = i;
+            }
+        }
+        best
+    };
+    let digits = |mut joint: usize, n_qubits: usize, levels: usize| {
+        let mut out = vec![0usize; n_qubits];
+        for d in out.iter_mut().rev() {
+            *d = joint % levels;
+            joint /= levels;
+        }
+        out
+    };
+    let (logits, levels) = match &graph.output {
+        OutputStage::PerQubit { branches } => branches
+            .iter()
+            .map(|br| {
+                let x = &feats[br.take.clone().expect("lowered heads carry their range")];
+                if br.layers.is_empty() {
+                    (x.to_vec(), first_argmax(x))
+                } else {
+                    let logits = forward(&br.layers, x);
+                    let level = running_argmax(&logits);
+                    (logits, level)
+                }
+            })
+            .unzip(),
+        OutputStage::Joint {
+            layers,
+            n_qubits,
+            levels,
+        } => {
+            let logits = forward(layers, &feats);
+            let joint = running_argmax(&logits);
+            (vec![logits], digits(joint, *n_qubits, *levels))
+        }
+        OutputStage::JointMarginal {
+            layers,
+            n_qubits,
+            levels,
+        } => {
+            let logits = forward(layers, &feats);
+            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = logits.iter().map(|&z| (z - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            let mut marginals = vec![vec![0.0f32; *levels]; *n_qubits];
+            for (class, e) in exps.iter().enumerate() {
+                let mut rem = class;
+                for digit in (0..*n_qubits).rev() {
+                    marginals[digit][rem % levels] += e / sum;
+                    rem /= levels;
+                }
+            }
+            let decided = marginals.iter().map(|m| first_argmax(m)).collect();
+            (vec![logits], decided)
+        }
+        OutputStage::PerQubitInt { heads } => (
+            heads.iter().map(|h| h.forward(&feats)).collect(),
+            heads.iter().map(|h| h.predict(&feats)).collect(),
+        ),
+    };
+    ReferenceShot {
+        feats,
+        logits,
+        levels,
+    }
+}
+
 proptest! {
     #[test]
     fn basis_state_flat_index_roundtrip(
@@ -1062,8 +1255,8 @@ proptest! {
         raw_parts in prop::collection::vec((-2f64..2.0, -2f64..2.0), 8),
     ) {
         // Duplicating every output row of a linear head manufactures
-        // exact logit ties between index i and i + k. The fused
-        // running-max kernel (`forward_argmax`) must resolve them the way
+        // exact logit ties between index i and i + k. The plan's
+        // running (max, index) fold must resolve them the way
         // `Mlp::predict` does — strictly-greater fold, ties→lowest — so
         // the winner always sits below the duplicate block.
         use mlr_core::plan::{Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
@@ -1185,6 +1378,129 @@ proptest! {
                 mlr_core::plan::dot_f32_avx2(a, b).to_bits(),
                 scalar.to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn tile_kernels_match_the_single_pair_dot_bit_for_bit(
+        len_pick in 0usize..10,
+        n_rows in 1usize..18,
+        n_shots in 1usize..18,
+        lead in 0usize..5,
+        pad in 0usize..5,
+        flavour in 0usize..4,
+        fma in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // The tile-major executor's contract: every (row, shot) pair the
+        // register-blocked bank kernel or the 8-shot-lane head kernel
+        // scores equals the tier's scalar single-pair dot to the bit, on
+        // the AVX2 path and the scalar mirror alike — for any length
+        // (remainder-only, exact chunks, chunks plus remainder), ragged
+        // row and shot blocks, banded spans and NaN, ±0 or ReLU inputs.
+        use mlr_core::plan::{self as kernels, SHOT_LANES};
+        let len = [0usize, 1, 7, 11, 22, 31, 32, 33, 45, 1000][len_pick];
+        let (precision, dot) = tier(fma);
+        #[cfg(target_arch = "x86_64")]
+        let vector = if fma { kernels::fma_active() } else { kernels::simd_active() };
+
+        // Bank: banded span `lead..lead + len` inside a wider stride.
+        let stride = lead + len + pad + 1;
+        let span = lead..lead + len;
+        let rows = kernel_data(n_rows * stride, seed, flavour);
+        let shots = kernel_data(n_shots * stride, seed ^ 0x9e37_79b9, flavour);
+        let mut outs = vec![vec![f32::INFINITY; n_shots * n_rows]; 3];
+        kernels::dot_tile(precision, &rows, &shots, stride, span.clone(), &mut outs[0], n_rows);
+        kernels::dot_tile_scalar(precision, &rows, &shots, stride, span.clone(), &mut outs[1], n_rows);
+        #[cfg(target_arch = "x86_64")]
+        if vector {
+            kernels::dot_tile_avx2(precision, &rows, &shots, stride, span.clone(), &mut outs[2], n_rows);
+        }
+        for r in 0..n_rows {
+            for s in 0..n_shots {
+                let want = dot(&shots[s * stride..][span.clone()], &rows[r * stride..][span.clone()]);
+                prop_assert!(same_bits(outs[0][s * n_rows + r], want), "dispatch, bank ({}, {})", r, s);
+                prop_assert!(same_bits(outs[1][s * n_rows + r], want), "scalar, bank ({}, {})", r, s);
+                #[cfg(target_arch = "x86_64")]
+                if vector {
+                    prop_assert!(same_bits(outs[2][s * n_rows + r], want), "avx2, bank ({}, {})", r, s);
+                }
+            }
+        }
+
+        // Heads: an n_rows × len layer over one lane block of shots.
+        let w = kernel_data(n_rows * len, seed ^ 0x51, flavour);
+        let x = kernel_data(len * SHOT_LANES, seed ^ 0xa7, flavour);
+        let mut outs = vec![vec![f32::INFINITY; n_rows * SHOT_LANES]; 3];
+        kernels::dot_lanes(precision, &w, len, &x, &mut outs[0]);
+        kernels::dot_lanes_scalar(precision, &w, len, &x, &mut outs[1]);
+        #[cfg(target_arch = "x86_64")]
+        if vector {
+            kernels::dot_lanes_avx2(precision, &w, len, &x, &mut outs[2]);
+        }
+        for lane in 0..SHOT_LANES {
+            let column: Vec<f32> = (0..len).map(|k| x[k * SHOT_LANES + lane]).collect();
+            for o in 0..n_rows {
+                let want = dot(&w[o * len..][..len], &column);
+                let at = o * SHOT_LANES + lane;
+                prop_assert!(same_bits(outs[0][at], want), "dispatch, head ({}, {})", o, lane);
+                prop_assert!(same_bits(outs[1][at], want), "scalar, head ({}, {})", o, lane);
+                #[cfg(target_arch = "x86_64")]
+                if vector {
+                    prop_assert!(same_bits(outs[2][at], want), "avx2, head ({}, {})", o, lane);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_major_plans_match_the_per_shot_reference_bit_for_bit(
+        start in any::<u64>(),
+        fma in any::<bool>(),
+    ) {
+        // Every plan family (OURS, OURS-NO-EMF, OURS-INT, OURS-STREAM per
+        // checkpoint, HERQULES, FNN, LDA, AE), on either tier, decides
+        // every shot of a window exactly as the per-shot arithmetic
+        // re-scored from the plan's own lowered weights — at window sizes
+        // that leave ragged tiles and ragged lane blocks — with trunk
+        // features and head logits equal to the bit.
+        let zoo = zoo();
+        let n = zoo.dataset.len();
+        let (precision, dot) = tier(fma);
+        for model in &zoo.models {
+            for plan in model.plans() {
+                let mut plan = plan.clone();
+                plan.set_precision(precision);
+                let graph = plan.lowered_graph();
+                let window = plan.n_samples();
+                for size in [1usize, 3, 16, 17, 64] {
+                    let shots: Vec<&[Complex]> = (0..size)
+                        .map(|i| &zoo.dataset.raw((start as usize).wrapping_add(i) % n)[..window])
+                        .collect();
+                    let batch = plan.predict_batch(&shots);
+                    let feats = plan.features_batch(&shots);
+                    for (s, raw) in shots.iter().enumerate() {
+                        let want = reference_shot(&graph, plan.kernel_spans(), dot, raw);
+                        let what = format!("design {}, window {size}, shot {s}", model.name());
+                        prop_assert_eq!(&batch[s], &want.levels, "verdict, {}", what);
+                        prop_assert!(
+                            feats[s].len() == want.feats.len()
+                                && feats[s].iter().zip(&want.feats).all(|(&a, &b)| same_bits(a, b)),
+                            "features, {}", what
+                        );
+                    }
+                    let first = reference_shot(&graph, plan.kernel_spans(), dot, shots[0]);
+                    let logits = plan.logits_shot(shots[0]);
+                    prop_assert!(
+                        logits.len() == first.logits.len()
+                            && logits.iter().zip(&first.logits).all(|(a, b)| {
+                                a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| same_bits(x, y))
+                            }),
+                        "logits, design {}", model.name()
+                    );
+                    prop_assert_eq!(&plan.predict_shot(shots[0]), &batch[0]);
+                }
+            }
         }
     }
 }
