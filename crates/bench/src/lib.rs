@@ -383,11 +383,15 @@ pub struct BenchRow {
     /// `git rev-parse --short HEAD` at measurement time (`"unknown"`
     /// outside a git checkout).
     pub git_rev: String,
+    /// The instruction set the plans' bank kernel ran on (`"scalar"`,
+    /// `"avx2"` or `"avx512"`, see [`simd_tier`]); `None` on rows
+    /// recorded before the field existed.
+    pub simd: Option<String>,
 }
 
 impl BenchRow {
     fn to_json(&self) -> serde::JsonValue {
-        serde::JsonValue::Object(vec![
+        let mut fields = vec![
             (
                 "design".to_owned(),
                 serde::JsonValue::String(self.design.clone()),
@@ -408,7 +412,11 @@ impl BenchRow {
                 "git_rev".to_owned(),
                 serde::JsonValue::String(self.git_rev.clone()),
             ),
-        ])
+        ];
+        if let Some(simd) = &self.simd {
+            fields.push(("simd".to_owned(), serde::JsonValue::String(simd.clone())));
+        }
+        serde::JsonValue::Object(fields)
     }
 
     fn from_json(v: &serde::JsonValue) -> Result<Self, String> {
@@ -426,8 +434,15 @@ impl BenchRow {
             batch: get_num("batch")? as usize,
             threads: get_num("threads")? as usize,
             git_rev: get_str("git_rev")?,
+            simd: v.get("simd").map(|_| get_str("simd")).transpose()?,
         })
     }
+}
+
+/// The instruction set [`mlr_core::plan::dot_tile`] scores the default
+/// plan tier with on this host — what a bench row's `simd` records.
+pub fn simd_tier() -> &'static str {
+    mlr_core::plan::PlanPrecision::default().tile_tier().name()
 }
 
 /// The short git revision of the working tree at call time, with a
@@ -530,4 +545,39 @@ pub fn fidelity_row(report: &EvalReport) -> Vec<String> {
     row.extend(report.per_qubit_fidelity.iter().map(|f| format!("{f:.4}")));
     row.push(format!("{:.4}", report.geometric_mean_fidelity()));
     row
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(simd: Option<&str>) -> BenchRow {
+        BenchRow {
+            design: "OURS".to_owned(),
+            shots_per_sec: 1.5e5,
+            batch: 600,
+            threads: 1,
+            git_rev: "abc1234".to_owned(),
+            simd: simd.map(str::to_owned),
+        }
+    }
+
+    #[test]
+    fn bench_rows_round_trip_with_and_without_the_simd_tier() {
+        for simd in [Some("avx512"), None] {
+            let json = row(simd).to_json();
+            assert_eq!(json.get("simd").is_some(), simd.is_some());
+            assert_eq!(BenchRow::from_json(&json).unwrap(), row(simd));
+        }
+    }
+
+    #[test]
+    fn rows_recorded_before_the_simd_tier_still_read() {
+        let parse = |text: &str| BenchRow::from_json(&serde_json::from_str(text).unwrap());
+        let old = r#"{"design":"OURS","shots_per_sec":117000,"batch":9720,"threads":1,"git_rev":"a902b8f"}"#;
+        assert_eq!(parse(old).unwrap().simd, None);
+        let mistyped =
+            r#"{"design":"OURS","shots_per_sec":1,"batch":1,"threads":1,"git_rev":"x","simd":2}"#;
+        assert!(parse(mistyped).is_err());
+    }
 }

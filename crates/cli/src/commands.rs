@@ -1041,6 +1041,7 @@ fn cmd_multiplex_sweep(args: &Args) -> Result<(), CliError> {
                     batch: arm.n_shots,
                     threads,
                     git_rev: rev.clone(),
+                    simd: Some(mlr_bench::simd_tier().to_owned()),
                 });
             }
         }
@@ -1160,8 +1161,9 @@ fn cmd_throughput(args: &Args) -> Result<(), CliError> {
         }
         print_table(
             &format!(
-                "{spec} inference throughput over {} shots ({threads} threads)",
-                report.n_shots
+                "{spec} inference throughput over {} shots ({threads} threads, {} bank kernel)",
+                report.n_shots,
+                mlr_bench::simd_tier()
             ),
             &["path", "shots/s"],
             &rows,
@@ -1193,6 +1195,7 @@ fn cmd_throughput(args: &Args) -> Result<(), CliError> {
                 batch: report.n_shots,
                 threads,
                 git_rev: rev.clone(),
+                simd: Some(mlr_bench::simd_tier().to_owned()),
             });
             if let Some(rate) = layered_rate {
                 bench_rows.push(mlr_bench::BenchRow {
@@ -1201,6 +1204,7 @@ fn cmd_throughput(args: &Args) -> Result<(), CliError> {
                     batch: report.n_shots,
                     threads,
                     git_rev: rev.clone(),
+                    simd: Some(mlr_bench::simd_tier().to_owned()),
                 });
             }
         }
@@ -1517,6 +1521,7 @@ fn cmd_serve_stats(args: &Args) -> Result<(), CliError> {
             batch,
             threads,
             git_rev: rev.clone(),
+            simd: Some(mlr_bench::simd_tier().to_owned()),
         }];
         if efficiency > 0.0 {
             bench_rows.push(mlr_bench::BenchRow {
@@ -1525,6 +1530,7 @@ fn cmd_serve_stats(args: &Args) -> Result<(), CliError> {
                 batch,
                 threads,
                 git_rev: rev,
+                simd: Some(mlr_bench::simd_tier().to_owned()),
             });
         }
         let path = std::path::Path::new(&bench_path);
@@ -1768,6 +1774,12 @@ mod tests {
         assert!(rows.iter().all(|r| r.shots_per_sec > 0.0));
         // The rev stamp is taken at run time, never hard-coded.
         assert!(rows.iter().all(|r| !r.git_rev.is_empty()));
+        // Every fresh row names the bank kernel's tier.
+        let tier = mlr_bench::simd_tier();
+        assert!(
+            rows.iter().all(|r| r.simd.as_deref() == Some(tier)),
+            "{rows:?}"
+        );
         // A second run appends — the file is a trajectory, not a snapshot.
         run_tokens(&[
             "throughput",

@@ -9,9 +9,11 @@
 //! readers — runs one executor over tiles of up to [`PLAN_TILE`] shots:
 //!
 //! 1. **Trunk.** The tile's traces are flattened into one `f32` scratch
-//!    and the bank is scored by `mlr_nn::dot_tile` in register blocks of
-//!    2 rows × 3 shots, one call per run of rows sharing a nonzero span
-//!    (banded rows). Bias, the bank ReLU and any residual affine follow
+//!    (`mlr_nn::narrow_f32` over each trace's interleaved IQ, vector
+//!    `f64`→`f32` conversion) and the bank is scored by `mlr_nn::dot_tile`
+//!    in register blocks of 3 rows × 4 shots on AVX-512 hosts (2 × 3 on
+//!    AVX2), one call per run of rows sharing a nonzero span (banded
+//!    rows). Bias, the bank ReLU and any residual affine follow
 //!    elementwise.
 //! 2. **Heads.** The features are transposed into blocks of 8 shot lanes
 //!    (`x[k * 8 + lane]`) and every head's dense chain runs head-major,
@@ -39,12 +41,13 @@
 //! [`PlanPrecision`]:
 //!
 //! * [`PlanPrecision::Reproducible`] (default) — each pair equals
-//!   `dot_f32`: AVX2 and its scalar mirror agree **bit-for-bit**
-//!   (separate multiply-then-add, fixed reduction tree), so every host
-//!   serves identical decisions.
+//!   `dot_f32`: AVX-512, AVX2 and the scalar mirror agree
+//!   **bit-for-bit** (separate multiply-then-add, fixed reduction tree),
+//!   so every host serves identical decisions.
 //! * [`PlanPrecision::Fma`] — each pair equals `fma_f32`, fused
-//!   multiply-add on both the vector path (`_mm256_fmadd_ps`) and the
-//!   scalar mirror (`f32::mul_add`). One rounding per step instead of
+//!   multiply-add on the vector paths (`_mm512_fmadd_ps` in the AVX-512
+//!   bank, `_mm256_fmadd_ps` elsewhere) and the scalar mirror
+//!   (`f32::mul_add`). One rounding per step instead of
 //!   two: slightly *more* accurate and faster on FMA hosts, but not
 //!   bit-compatible with the reproducible tier, which is why it is
 //!   opt-in.
@@ -61,7 +64,7 @@
 
 use std::ops::Range;
 
-use mlr_nn::{dot_lanes, dot_tile, IntMlp, PlanPrecision, SHOT_LANES};
+use mlr_nn::{dot_lanes, dot_tile, narrow_f32, IntMlp, PlanPrecision, SHOT_LANES};
 use mlr_num::Complex;
 
 use super::graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
@@ -531,10 +534,7 @@ impl CompiledPlan {
         sc.flat.resize(tile.len() * stride, 0.0);
         for (dst, raw) in sc.flat.chunks_exact_mut(stride).zip(tile) {
             assert_eq!(raw.len(), self.n_samples, "trace length != readout window");
-            for (pair, z) in dst.chunks_exact_mut(2).zip(raw.iter()) {
-                pair[0] = z.re as f32;
-                pair[1] = z.im as f32;
-            }
+            narrow_f32(Complex::as_interleaved(raw), dst);
         }
         sc.feats.clear();
         sc.feats.resize(tile.len() * self.n_rows, 0.0);

@@ -18,7 +18,7 @@
 //!
 //! | stage | kernel | blocking | per-pair order |
 //! |---|---|---|---|
-//! | bank | [`dot_tile`] | 2 rows × 3 shots, two half passes per 32-float chunk | `dot_f32` / `fma_f32` |
+//! | bank | [`dot_tile`] | AVX-512: 3 rows × 4 shots, one pass; AVX2: 2 rows × 3 shots, two half passes per 32-float chunk | `dot_f32` / `fma_f32` |
 //! | heads | [`dot_lanes`] | one layer over 8 shot lanes, 4 output rows at a time | `dot_f32` / `fma_f32` |
 //! | decide | scalar | per shot | argmax, joint or marginal decoding, integer heads |
 //!
@@ -64,11 +64,12 @@ pub use graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
 // here, where the plan executor's callers and the property tests have
 // always found them.
 pub use mlr_nn::{
-    dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar, fma_active,
-    fma_f32, fma_f32_scalar, simd_active, PlanPrecision, SHOT_LANES,
+    avx512_active, dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar,
+    fma_active, fma_f32, fma_f32_scalar, narrow_f32, simd_active, PlanPrecision, SimdTier,
+    SHOT_LANES,
 };
 #[cfg(target_arch = "x86_64")]
-pub use mlr_nn::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, fma_f32_avx2};
+pub use mlr_nn::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512, fma_f32_avx2};
 
 use crate::features::FeatureExtractor;
 use mlr_nn::{IntMlp, Mlp, Standardizer};

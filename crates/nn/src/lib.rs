@@ -45,10 +45,11 @@ pub use mlp::{ForwardScratch, Mlp};
 pub use quantize::{FixedPointFormat, QuantizedMlp};
 pub use regression::{RegressionData, RegressionReport};
 pub use simd::{
-    dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar, fma_active,
-    fma_f32, fma_f32_scalar, simd_active, PlanPrecision, SHOT_LANES,
+    avx512_active, dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar,
+    fma_active, fma_f32, fma_f32_scalar, narrow_f32, simd_active, PlanPrecision, SimdTier,
+    SHOT_LANES,
 };
 #[cfg(target_arch = "x86_64")]
-pub use simd::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, fma_f32_avx2};
+pub use simd::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512, fma_f32_avx2};
 pub use standardize::Standardizer;
 pub use train::{inverse_frequency_weights, DataError, TrainConfig, TrainData, TrainReport};

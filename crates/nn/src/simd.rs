@@ -11,10 +11,13 @@
 //! lane reduction `(a0+a1)+(a2+a3)`, the same fixed horizontal tree, and a
 //! shared scalar remainder loop. Both paths use separate multiply-then-add
 //! (deliberately **no FMA** — an FMA's unrounded intermediate would make
-//! the two paths diverge in the last bit, and the kernel is load-bound so
-//! FMA buys no throughput there). The result: scalar and AVX2 agree
-//! **bit-for-bit**, which the workspace's property tests pin, and a host
-//! without AVX2 serves identical decisions.
+//! the two paths diverge in the last bit). The result: scalar and AVX2
+//! agree **bit-for-bit**, which the workspace's property tests pin, and a
+//! host without AVX2 serves identical decisions. The price is throughput:
+//! a single-pair dot is load-bound (two loads per multiply-accumulate),
+//! but a tile block reuses every load across pairs — a 2 × 3 block runs
+//! 24 FP ops per 10 loads — so there the second op of mul-then-add costs
+//! real time, and fusing it is what the FMA tier buys.
 //!
 //! # The FMA tier
 //!
@@ -37,12 +40,21 @@
 //! a load changes, never the association order inside a pair.
 //!
 //! * [`dot_tile`] scores a block of kernel rows against a block of
-//!   shots in register blocks of 2 rows × 3 shots. All four accumulators
-//!   of six pairs would need 24 vector registers and AVX2 has 16, so each
-//!   block makes two half passes over every 32-float chunk with twelve
-//!   live: the first keeps `acc0`/`acc1` and folds them to `acc0+acc1`,
-//!   the second does the same for `acc2`/`acc3`, and the two folds are
-//!   added last.
+//!   shots in register blocks, dispatching at runtime AVX-512 → AVX2 →
+//!   scalar ([`SimdTier`]):
+//!   - **AVX-512: 3 rows × 4 shots.** A zmm holds two of a pair's ymm
+//!     accumulators: floats 0..16 of every 32-float chunk go into one
+//!     (lanes 0–7 are `acc0`, 8–15 `acc1`) and floats 16..32 into the
+//!     other (`acc2|acc3`), so all twelve pairs' accumulators take 24 of
+//!     the 32 zmm registers, leaving six for the three rows' loads, and
+//!     the block makes one pass. The finish adds each zmm's two 256-bit
+//!     halves — `acc0+acc1` and `acc2+acc3` — and then those two.
+//!   - **AVX2: 2 rows × 3 shots.** All four accumulators of six pairs
+//!     would need 24 vector registers and AVX2 has 16, so each block
+//!     makes two half passes over every 32-float chunk with twelve live:
+//!     the first keeps `acc0`/`acc1` and folds them to `acc0+acc1`, the
+//!     second does the same for `acc2`/`acc3`, and the two folds are
+//!     added last.
 //! * [`dot_lanes`] scores a dense layer over [`SHOT_LANES`] shots held
 //!   lane-major (`x[k * SHOT_LANES + lane]`). Each AVX2 lane is one shot
 //!   running the scalar [`dot_f32_scalar`] sequence, so a width-22 or
@@ -50,16 +62,23 @@
 //!   remainder, becomes vector work across shots.
 //!
 //! Both have an AVX2 path and a scalar mirror that calls the tier's
-//! scalar dot per pair; the property tests pin all of them against
-//! [`dot_f32_scalar`] and [`fma_f32_scalar`].
+//! scalar dot per pair, and [`dot_tile`] also has the AVX-512 path; the
+//! property tests pin all of them against [`dot_f32_scalar`] and
+//! [`fma_f32_scalar`].
+//!
+//! # Narrowing
+//!
+//! [`narrow_f32`] converts the `f64` IQ samples a plan flattens into the
+//! `f32` the kernels score (`_mm512_cvtpd_ps` / `_mm256_cvtpd_ps`), with
+//! the same round-to-nearest-even as `x as f32`.
 
 use std::ops::Range;
 
 /// Which dot-product tier a kernel scores with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanPrecision {
-    /// Bit-reproducible multiply-then-add ([`dot_f32`]): AVX2 and scalar
-    /// agree bit-for-bit across hosts. The default.
+    /// Bit-reproducible multiply-then-add ([`dot_f32`]): AVX-512, AVX2
+    /// and scalar agree bit-for-bit across hosts. The default.
     #[default]
     Reproducible,
     /// Fused multiply-add ([`fma_f32`]): faster on FMA hosts and one
@@ -86,6 +105,54 @@ impl PlanPrecision {
             PlanPrecision::Fma => fma_active(),
         }
     }
+
+    /// The instruction set [`dot_tile`] scores this tier with on this
+    /// host: AVX-512 where available (`avx512f` carries both the
+    /// multiply-then-add and the fused step), then the tier's AVX2 path,
+    /// then the scalar mirror.
+    pub fn tile_tier(self) -> SimdTier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx512_enabled() {
+                return SimdTier::Avx512;
+            }
+            if self.vector_active() {
+                return SimdTier::Avx2;
+            }
+        }
+        SimdTier::Scalar
+    }
+}
+
+/// The instruction set a tile kernel runs on (see
+/// [`PlanPrecision::tile_tier`]). Every tier produces the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdTier {
+    /// The scalar mirror.
+    Scalar,
+    /// 256-bit AVX2 (with FMA on the fused tier).
+    Avx2,
+    /// 512-bit AVX-512F.
+    Avx512,
+}
+
+impl SimdTier {
+    /// The tier's name as bench rows record it: `"scalar"`, `"avx2"` or
+    /// `"avx512"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdTier::Scalar => "scalar",
+            SimdTier::Avx2 => "avx2",
+            SimdTier::Avx512 => "avx512",
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx512_enabled() -> bool {
+    use std::sync::OnceLock;
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| is_x86_feature_detected!("avx512f"))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -123,6 +190,19 @@ pub fn fma_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         fma_enabled()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this host serves [`dot_tile`]'s AVX-512 path, on both tiers
+/// (`false` means AVX2 or the scalar mirror).
+pub fn avx512_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx512_enabled()
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -421,11 +501,13 @@ pub fn dot_tile(
     out: &mut [f32],
     out_stride: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if precision.vector_active() {
-        return dot_tile_avx2(precision, rows, shots, stride, span, out, out_stride);
+    match precision.tile_tier() {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => dot_tile_avx512(precision, rows, shots, stride, span, out, out_stride),
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => dot_tile_avx2(precision, rows, shots, stride, span, out, out_stride),
+        _ => dot_tile_scalar(precision, rows, shots, stride, span, out, out_stride),
     }
-    dot_tile_scalar(precision, rows, shots, stride, span, out, out_stride);
 }
 
 /// [`dot_tile`]'s scalar mirror: the tier's scalar dot per pair.
@@ -497,6 +579,127 @@ pub fn dot_tile_avx2(
             r += rb;
         }
         s += sb;
+    }
+}
+
+/// [`dot_tile`]'s AVX-512 path (3 × 4 register blocks), exposed for the
+/// bit-agreement tests.
+///
+/// # Panics
+///
+/// Panics if AVX-512F is unavailable on this host (see
+/// [`avx512_active`]), and as [`dot_tile`].
+#[cfg(target_arch = "x86_64")]
+pub fn dot_tile_avx512(
+    precision: PlanPrecision,
+    rows: &[f32],
+    shots: &[f32],
+    stride: usize,
+    span: Range<usize>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    assert!(avx512_enabled(), "AVX-512F unavailable on this host");
+    let (n_rows, n_shots) = tile_shape(rows, shots, stride, &span, out, out_stride);
+    let row = |r: usize| &rows[r * stride..][span.clone()];
+    let shot = |s: usize| &shots[s * stride..][span.clone()];
+    let mut s = 0;
+    while s < n_shots {
+        let sb = (n_shots - s).min(4);
+        let mut r = 0;
+        while r < n_rows {
+            let rb = (n_rows - r).min(3);
+            let at = &mut out[s * out_stride + r..];
+            // SAFETY: AVX-512F was checked above, and every row and shot
+            // slice has the span's length.
+            unsafe {
+                match (rb, sb) {
+                    (3, 4) => avx512::block::<3, 4>(precision, row, shot, r, s, at, out_stride),
+                    (3, 3) => avx512::block::<3, 3>(precision, row, shot, r, s, at, out_stride),
+                    (3, 2) => avx512::block::<3, 2>(precision, row, shot, r, s, at, out_stride),
+                    (3, _) => avx512::block::<3, 1>(precision, row, shot, r, s, at, out_stride),
+                    (2, 4) => avx512::block::<2, 4>(precision, row, shot, r, s, at, out_stride),
+                    (2, 3) => avx512::block::<2, 3>(precision, row, shot, r, s, at, out_stride),
+                    (2, 2) => avx512::block::<2, 2>(precision, row, shot, r, s, at, out_stride),
+                    (2, _) => avx512::block::<2, 1>(precision, row, shot, r, s, at, out_stride),
+                    (_, 4) => avx512::block::<1, 4>(precision, row, shot, r, s, at, out_stride),
+                    (_, 3) => avx512::block::<1, 3>(precision, row, shot, r, s, at, out_stride),
+                    (_, 2) => avx512::block::<1, 2>(precision, row, shot, r, s, at, out_stride),
+                    (_, _) => avx512::block::<1, 1>(precision, row, shot, r, s, at, out_stride),
+                }
+            }
+            r += rb;
+        }
+        s += sb;
+    }
+}
+
+/// Narrows `f64` samples to `f32`: `dst[i] = src[i] as f32`, bit for bit
+/// (round to nearest, ties to even; NaN stays NaN, overflow goes to ±∞),
+/// eight at a time with `_mm512_cvtpd_ps` on AVX-512 hosts and four with
+/// `_mm256_cvtpd_ps` on AVX hosts.
+///
+/// # Panics
+///
+/// Panics if the slices' lengths differ.
+pub fn narrow_f32(src: &[f64], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "narrow_f32 length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512_enabled() {
+            // SAFETY: availability checked at runtime; equal lengths
+            // asserted above.
+            return unsafe { narrow::avx512(src, dst) };
+        }
+        if is_x86_feature_detected!("avx") {
+            // SAFETY: as above.
+            return unsafe { narrow::avx(src, dst) };
+        }
+    }
+    narrow::scalar(src, dst);
+}
+
+/// [`narrow_f32`]'s per-width bodies; each vector body leaves the
+/// sub-vector tail to [`narrow::scalar`].
+mod narrow {
+    pub(super) fn scalar(src: &[f64], dst: &mut [f32]) {
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = x as f32;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F must be available and `src.len() == dst.len()`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn avx512(src: &[f64], dst: &mut [f32]) {
+        use std::arch::x86_64::{_mm256_storeu_ps, _mm512_cvtpd_ps, _mm512_loadu_pd};
+        let full = src.len() - src.len() % 8;
+        let mut i = 0;
+        while i < full {
+            let v = _mm512_cvtpd_ps(_mm512_loadu_pd(src.as_ptr().add(i)));
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
+            i += 8;
+        }
+        scalar(&src[full..], &mut dst[full..]);
+    }
+
+    /// # Safety
+    ///
+    /// AVX must be available and `src.len() == dst.len()`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn avx(src: &[f64], dst: &mut [f32]) {
+        use std::arch::x86_64::{_mm256_cvtpd_ps, _mm256_loadu_pd, _mm_storeu_ps};
+        let full = src.len() - src.len() % 4;
+        let mut i = 0;
+        while i < full {
+            let v = _mm256_cvtpd_ps(_mm256_loadu_pd(src.as_ptr().add(i)));
+            _mm_storeu_ps(dst.as_mut_ptr().add(i), v);
+            i += 4;
+        }
+        scalar(&src[full..], &mut dst[full..]);
     }
 }
 
@@ -589,7 +792,7 @@ mod avx2 {
 
     /// One tier's multiply-accumulate: the vector step and the scalar
     /// tail shared with the single-pair dot.
-    trait Mac {
+    pub(super) trait Mac {
         /// `acc + a·b` with the tier's rounding.
         ///
         /// # Safety
@@ -601,9 +804,9 @@ mod avx2 {
     }
 
     /// The reproducible tier: separate multiply, then add.
-    struct MulAdd;
+    pub(super) struct MulAdd;
     /// The FMA tier: one fused rounding per step.
-    struct Fused;
+    pub(super) struct Fused;
 
     impl Mac for MulAdd {
         #[inline(always)]
@@ -840,6 +1043,158 @@ mod avx2 {
     }
 }
 
+/// The AVX-512 tile kernels, on the AVX2 module's [`avx2::Mac`] tiers:
+/// each adds its 512-bit step, and the finish stays the shared scalar
+/// tail. Generic bodies are `#[inline(always)]` into the
+/// `target_feature` entry points, as in [`avx2`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m256, __m512, _mm256_add_ps, _mm256_castpd_ps, _mm256_storeu_ps, _mm512_add_ps,
+        _mm512_castpd512_pd256, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mul_ps, _mm512_setzero_ps,
+    };
+
+    use super::avx2::{Fused, Mac, MulAdd};
+    use super::PlanPrecision;
+
+    /// A tier's 512-bit multiply-accumulate, lane-for-lane the AVX2 step.
+    trait Mac512: Mac {
+        /// `acc + a·b` with the tier's rounding.
+        ///
+        /// # Safety
+        ///
+        /// AVX-512F must be available.
+        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512;
+    }
+
+    impl Mac512 for MulAdd {
+        #[inline(always)]
+        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+        }
+    }
+
+    impl Mac512 for Fused {
+        #[inline(always)]
+        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512 {
+            _mm512_fmadd_ps(a, b, acc)
+        }
+    }
+
+    /// Lanes 0–7 plus lanes 8–15 of `v`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available.
+    #[inline(always)]
+    unsafe fn fold_halves(v: __m512) -> __m256 {
+        let v = _mm512_castps_pd(v);
+        _mm256_add_ps(
+            _mm256_castpd_ps(_mm512_castpd512_pd256(v)),
+            _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(v)),
+        )
+    }
+
+    /// One `R`-row × `S`-shot register block, written to
+    /// `out[s * out_stride + r]` for the block's local `r`, `s`.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available, and every slice `row(r0 + i)` /
+    /// `shot(s0 + j)` must have the same length.
+    #[inline(always)]
+    unsafe fn block_in<'a, M: Mac512, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let k: [&[f32]; R] = std::array::from_fn(|i| row(r0 + i));
+        let x: [&[f32]; S] = std::array::from_fn(|j| shot(s0 + j));
+        let n = k[0].len();
+        let full = n - n % 32;
+        // `lo` holds acc0|acc1 (floats 0..16 of every 32-float chunk) and
+        // `hi` acc2|acc3 (floats 16..32), lane for lane the single-pair
+        // dot's four ymm accumulators.
+        let mut lo = [[_mm512_setzero_ps(); S]; R];
+        let mut hi = [[_mm512_setzero_ps(); S]; R];
+        let mut i = 0;
+        while i < full {
+            for r in 0..R {
+                let kp = k[r].as_ptr().add(i);
+                let (k0, k1) = (_mm512_loadu_ps(kp), _mm512_loadu_ps(kp.add(16)));
+                for s in 0..S {
+                    let xp = x[s].as_ptr().add(i);
+                    lo[r][s] = M::mac512(lo[r][s], _mm512_loadu_ps(xp), k0);
+                    hi[r][s] = M::mac512(hi[r][s], _mm512_loadu_ps(xp.add(16)), k1);
+                }
+            }
+            i += 32;
+        }
+        for r in 0..R {
+            for s in 0..S {
+                let sum = _mm256_add_ps(fold_halves(lo[r][s]), fold_halves(hi[r][s]));
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+                out[s * out_stride + r] = M::finish(&lanes, &x[s][full..], &k[r][full..]);
+            }
+        }
+    }
+
+    /// One register block on `precision`'s tier.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be available; as [`block_in`] otherwise.
+    pub(super) unsafe fn block<'a, const R: usize, const S: usize>(
+        precision: PlanPrecision,
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        match precision {
+            PlanPrecision::Reproducible => block_muladd::<R, S>(row, shot, r0, s0, out, out_stride),
+            PlanPrecision::Fma => block_fused::<R, S>(row, shot, r0, s0, out, out_stride),
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block_muladd<'a, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        block_in::<MulAdd, R, S>(row, shot, r0, s0, out, out_stride)
+    }
+
+    /// # Safety
+    ///
+    /// AVX-512F must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block_fused<'a, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        block_in::<Fused, R, S>(row, shot, r0, s0, out, out_stride)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,6 +1226,63 @@ mod tests {
         }
     }
 
+    type TileFn = fn(PlanPrecision, &[f32], &[f32], usize, Range<usize>, &mut [f32], usize);
+
+    /// Every bank kernel this host can run on `precision`'s tier.
+    fn bank_kernels(precision: PlanPrecision) -> Vec<(&'static str, TileFn)> {
+        let mut kernels: Vec<(&'static str, TileFn)> =
+            vec![("dispatch", dot_tile), ("scalar", dot_tile_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if precision.vector_active() {
+                kernels.push(("avx2", dot_tile_avx2));
+            }
+            if avx512_active() {
+                kernels.push(("avx512", dot_tile_avx512));
+            }
+        }
+        kernels
+    }
+
+    /// Scores every (row, shot) pair on `span` with each bank kernel and
+    /// checks it against the tier's scalar single-pair dot, to the bit
+    /// (any NaN matches any NaN).
+    fn check_bank(
+        precision: PlanPrecision,
+        rows: &[f32],
+        shots: &[f32],
+        stride: usize,
+        span: Range<usize>,
+    ) {
+        let dot = precision.scalar_dot();
+        let (n_rows, n_shots) = (rows.len() / stride, shots.len() / stride);
+        for (name, kernel) in bank_kernels(precision) {
+            let mut out = vec![f32::INFINITY; n_rows * n_shots];
+            kernel(
+                precision,
+                rows,
+                shots,
+                stride,
+                span.clone(),
+                &mut out,
+                n_rows,
+            );
+            for r in 0..n_rows {
+                for s in 0..n_shots {
+                    let got = out[s * n_rows + r];
+                    let want = dot(
+                        &shots[s * stride..][span.clone()],
+                        &rows[r * stride..][span.clone()],
+                    );
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{name} {precision:?} {n_rows}x{n_shots} {span:?} ({r}, {s})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tile_kernels_agree_bitwise_with_the_single_pair_dot() {
         for precision in [PlanPrecision::Reproducible, PlanPrecision::Fma] {
@@ -880,18 +1292,7 @@ mod tests {
                 let stride = n + 1;
                 let (rows, shots) = vecs(n_rows.max(n_shots) * stride);
                 let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
-                let mut out = vec![0.0f32; n_rows * n_shots];
-                dot_tile(precision, rows, shots, stride, 0..n, &mut out, n_rows);
-                for r in 0..n_rows {
-                    for s in 0..n_shots {
-                        let want = dot(&shots[s * stride..][..n], &rows[r * stride..][..n]);
-                        assert_eq!(
-                            out[s * n_rows + r].to_bits(),
-                            want.to_bits(),
-                            "{n} ({r}, {s})"
-                        );
-                    }
-                }
+                check_bank(precision, rows, shots, stride, 0..n);
 
                 let w = &rows[..n_rows * n];
                 let (x, _) = vecs(n * SHOT_LANES);
@@ -907,6 +1308,31 @@ mod tests {
                             "{n} ({o}, {lane})"
                         );
                     }
+                }
+            }
+
+            // Every ragged block shape up to 17 × 17, on a banded span (a
+            // 32-float chunk plus a remainder, one float of padding either
+            // side) with NaN, signed-zero and ReLU'd inputs.
+            let special = |v: Vec<f32>| -> Vec<f32> {
+                v.into_iter()
+                    .enumerate()
+                    .map(|(i, x)| match (i % 97, i % 7) {
+                        (0, _) => f32::NAN,
+                        (_, 1) => -0.0,
+                        (_, 2) => 0.0,
+                        (_, 3) => x.max(0.0),
+                        _ => x,
+                    })
+                    .collect()
+            };
+            let stride = 35;
+            let (rows, shots) = vecs(17 * stride);
+            let (rows, shots) = (special(rows), special(shots));
+            for n_rows in 1..=17 {
+                for n_shots in 1..=17 {
+                    let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
+                    check_bank(precision, rows, shots, stride, 1..stride - 1);
                 }
             }
         }

@@ -22,6 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(a * Complex::I, Complex::new(-2.0, 1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real (in-phase) component.
     pub re: f64,
@@ -41,6 +42,26 @@ impl Complex {
     #[inline]
     pub const fn new(re: f64, im: f64) -> Self {
         Self { re, im }
+    }
+
+    /// Views samples as their interleaved components,
+    /// `[re₀, im₀, re₁, im₁, …]`, without copying.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mlr_num::Complex;
+    /// let iq = [Complex::new(1.0, 2.0), Complex::new(3.0, 4.0)];
+    /// assert_eq!(Complex::as_interleaved(&iq), &[1.0, 2.0, 3.0, 4.0]);
+    /// ```
+    #[inline]
+    pub fn as_interleaved(samples: &[Complex]) -> &[f64] {
+        // SAFETY: `Complex` is `#[repr(C)]` with exactly two `f64` fields,
+        // so it has `f64` alignment, no padding, and `re` before `im`; `n`
+        // samples are therefore `2n` initialised, contiguous `f64`s, borrowed
+        // for the same lifetime (`2n` cannot overflow: the slice already
+        // spans that many bytes).
+        unsafe { std::slice::from_raw_parts(samples.as_ptr().cast::<f64>(), 2 * samples.len()) }
     }
 
     /// Creates a complex number from polar coordinates.

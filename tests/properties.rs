@@ -1395,26 +1395,33 @@ proptest! {
         // The tile-major executor's contract: every (row, shot) pair the
         // register-blocked bank kernel or the 8-shot-lane head kernel
         // scores equals the tier's scalar single-pair dot to the bit, on
-        // the AVX2 path and the scalar mirror alike — for any length
-        // (remainder-only, exact chunks, chunks plus remainder), ragged
-        // row and shot blocks, banded spans and NaN, ±0 or ReLU inputs.
+        // the AVX-512 and AVX2 paths and the scalar mirror alike — for any
+        // length (remainder-only, exact chunks, chunks plus remainder),
+        // ragged row and shot blocks, banded spans and NaN, ±0 or ReLU
+        // inputs.
         use mlr_core::plan::{self as kernels, SHOT_LANES};
         let len = [0usize, 1, 7, 11, 22, 31, 32, 33, 45, 1000][len_pick];
         let (precision, dot) = tier(fma);
         #[cfg(target_arch = "x86_64")]
         let vector = if fma { kernels::fma_active() } else { kernels::simd_active() };
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = kernels::avx512_active();
 
         // Bank: banded span `lead..lead + len` inside a wider stride.
         let stride = lead + len + pad + 1;
         let span = lead..lead + len;
         let rows = kernel_data(n_rows * stride, seed, flavour);
         let shots = kernel_data(n_shots * stride, seed ^ 0x9e37_79b9, flavour);
-        let mut outs = vec![vec![f32::INFINITY; n_shots * n_rows]; 3];
+        let mut outs = vec![vec![f32::INFINITY; n_shots * n_rows]; 4];
         kernels::dot_tile(precision, &rows, &shots, stride, span.clone(), &mut outs[0], n_rows);
         kernels::dot_tile_scalar(precision, &rows, &shots, stride, span.clone(), &mut outs[1], n_rows);
         #[cfg(target_arch = "x86_64")]
         if vector {
             kernels::dot_tile_avx2(precision, &rows, &shots, stride, span.clone(), &mut outs[2], n_rows);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx512 {
+            kernels::dot_tile_avx512(precision, &rows, &shots, stride, span.clone(), &mut outs[3], n_rows);
         }
         for r in 0..n_rows {
             for s in 0..n_shots {
@@ -1424,6 +1431,10 @@ proptest! {
                 #[cfg(target_arch = "x86_64")]
                 if vector {
                     prop_assert!(same_bits(outs[2][s * n_rows + r], want), "avx2, bank ({}, {})", r, s);
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx512 {
+                    prop_assert!(same_bits(outs[3][s * n_rows + r], want), "avx512, bank ({}, {})", r, s);
                 }
             }
         }
@@ -1450,6 +1461,41 @@ proptest! {
                     prop_assert!(same_bits(outs[2][at], want), "avx2, head ({}, {})", o, lane);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn narrow_f32_matches_as_f32_bit_for_bit(
+        picks in prop::collection::vec((0usize..12, any::<u64>()), 0..40),
+    ) {
+        // The trunk's flatten narrows every IQ sample through `narrow_f32`:
+        // it must equal `x as f32` to the bit on every path (8-wide, 4-wide
+        // and scalar tails, so lengths 0..40), including NaN, ±0, ±∞, f64
+        // and f32 subnormals and magnitudes past f32::MAX, which round to
+        // f32::MAX or overflow to ±∞.
+        let src: Vec<f64> = picks
+            .iter()
+            .map(|&(pick, bits)| {
+                let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+                let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+                sign * match pick {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    2 => f64::INFINITY,
+                    3 => f64::from_bits(bits >> 12), // an f64 subnormal
+                    4 => u * f32::MIN_POSITIVE as f64, // an f32 subnormal
+                    5 => f32::MAX as f64 * (1.0 + u * 1e-7), // rounds to MAX or ∞
+                    6 => f32::MAX as f64 * (1.0 + u * 1e3),
+                    7 => f64::MAX * u,
+                    8 => f64::from_bits(bits),
+                    _ => (u - 0.5) * 1e3,
+                }
+            })
+            .collect();
+        let mut dst = vec![0.0f32; src.len()];
+        mlr_core::plan::narrow_f32(&src, &mut dst);
+        for (i, (&x, &got)) in src.iter().zip(&dst).enumerate() {
+            prop_assert!(same_bits(got, x as f32), "{}: {:e} -> {:e}, want {:e}", i, x, got, x as f32);
         }
     }
 
