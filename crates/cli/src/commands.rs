@@ -1082,8 +1082,9 @@ fn cmd_multiplex_sweep(args: &Args) -> Result<(), CliError> {
 
 /// Every design whose fit compiles a fused inference plan — the sweep set
 /// for `throughput --json` when no explicit `--design` narrows it. QDA and
-/// HMM are the two registry families that stay layered (see
-/// `mlr_core::plan` module docs for why they cannot lower).
+/// HMM are the two registry families without one (see `mlr_core::plan`
+/// module docs for why they cannot lower); QDA has no f32 plan but serves
+/// through a bit-identical f64 single-pass scorer.
 const PLAN_CAPABLE: [&str; 8] = [
     "OURS",
     "OURS-NO-EMF",

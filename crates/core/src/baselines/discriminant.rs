@@ -5,6 +5,7 @@ use crate::plan::{self, Branch, CompiledPlan, MfBankOp, Op, OpGraph, OutputStage
 use crate::Discriminator;
 use mlr_dsp::{integrate, Demodulator};
 use mlr_linalg::{covariance_matrix, Cholesky, Matrix};
+use mlr_nn::{cmul_sum_f64, CmulSumFn, CMUL_LANES};
 use mlr_num::Complex;
 use mlr_sim::{DatasetSplit, TraceDataset};
 use serde::{Deserialize, Serialize};
@@ -32,21 +33,23 @@ struct QubitModel {
 }
 
 impl QubitModel {
+    /// Class `class`'s covariance factor and the `log_det` term its score
+    /// carries.
+    fn class_factor(&self, class: usize) -> (&Cholesky, f64) {
+        match self.kind {
+            DiscriminantKind::Lda => (&self.chols[0], 0.0), // common constant, drops out
+            DiscriminantKind::Qda => (&self.chols[class], self.chols[class].log_det()),
+        }
+    }
+
     fn discriminant(&self, x: &[f64], class: usize) -> f64 {
         let d: Vec<f64> = x
             .iter()
             .zip(&self.means[class])
             .map(|(a, b)| a - b)
             .collect();
-        let chol = match self.kind {
-            DiscriminantKind::Lda => &self.chols[0],
-            DiscriminantKind::Qda => &self.chols[class],
-        };
+        let (chol, log_det) = self.class_factor(class);
         let quad = chol.mahalanobis_sq(&d);
-        let log_det = match self.kind {
-            DiscriminantKind::Lda => 0.0, // common constant, drops out
-            DiscriminantKind::Qda => chol.log_det(),
-        };
         -0.5 * (quad + log_det) + self.log_priors[class]
     }
 
@@ -58,6 +61,175 @@ impl QubitModel {
     }
 }
 
+/// One class's constants for [`QdaScorer`]: the mean, the nonzero
+/// entries of the 2 × 2 covariance factor and the precomputed `log_det`
+/// and log-prior.
+#[derive(Debug, Clone, Copy)]
+struct ClassTerms {
+    mean: [f64; 2],
+    /// `[L₀₀, L₁₀, L₁₁]` of the lower-triangular factor.
+    l: [f64; 3],
+    log_det: f64,
+    log_prior: f64,
+}
+
+impl ClassTerms {
+    fn new(model: &QubitModel, class: usize) -> Result<Self, String> {
+        let factor = match model.kind {
+            DiscriminantKind::Lda => 0,
+            DiscriminantKind::Qda => class,
+        };
+        let shaped = (
+            model.chols.get(factor).map(Cholesky::dim),
+            model.log_priors.get(class),
+        );
+        let ([m0, m1], (Some(2), Some(&log_prior))) = (model.means[class].as_slice(), shaped)
+        else {
+            return Err(format!(
+                "class {class} needs a 2-D mean, a 2 × 2 factor and a prior"
+            ));
+        };
+        let (chol, log_det) = model.class_factor(class);
+        let l = chol.factor();
+        Ok(Self {
+            mean: [*m0, *m1],
+            l: [l[(0, 0)], l[(1, 0)], l[(1, 1)]],
+            log_det,
+            log_prior,
+        })
+    }
+
+    /// `QubitModel::discriminant` on the integrated point `x`, with the
+    /// same `f64` operations in the same forms: `Cholesky::solve`'s two
+    /// substitutions unrolled for 2 × 2 and `mahalanobis_sq`'s `.sum()`
+    /// over the two products, so every bit (signed zeros included)
+    /// matches.
+    #[inline]
+    fn score(&self, x: [f64; 2]) -> f64 {
+        let [l00, l10, l11] = self.l;
+        let d = [x[0] - self.mean[0], x[1] - self.mean[1]];
+        let y0 = d[0] / l00;
+        let y1 = (d[1] - l10 * y0) / l11;
+        let s1 = y1 / l11;
+        let s0 = (y0 - l10 * s1) / l00;
+        let quad: f64 = [d[0] * s0, d[1] * s1].iter().sum();
+        -0.5 * (quad + self.log_det) + self.log_prior
+    }
+}
+
+/// QDA's serving path: every qubit's demodulate-integrate in one pass
+/// over the trace ([`mlr_nn::cmul_sum_f64`] on a sample-major reference
+/// table, qubits padded to even), then each class scored from constants
+/// built at fit/load time — no allocation per shot beyond the verdicts,
+/// and bit-identical to [`DiscriminantAnalysis::predict_shot_layered`].
+#[derive(Debug, Clone)]
+struct QdaScorer {
+    /// [`Demodulator::sample_major_table`] over the padded qubit count.
+    table: Vec<f64>,
+    /// Floats per table row: twice the padded qubit count.
+    stride: usize,
+    /// Per qubit, per class.
+    classes: Vec<Vec<ClassTerms>>,
+}
+
+impl QdaScorer {
+    fn new(demod: &Demodulator, models: &[QubitModel]) -> Result<Self, String> {
+        let classes = models
+            .iter()
+            .enumerate()
+            .map(|(q, model)| {
+                if model.means.is_empty() {
+                    return Err(format!("qubit {q} has no classes"));
+                }
+                (0..model.means.len())
+                    .map(|c| ClassTerms::new(model, c).map_err(|e| format!("qubit {q}: {e}")))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?;
+        let lanes = models.len().next_multiple_of(2);
+        Ok(Self {
+            table: demod.sample_major_table(lanes),
+            stride: 2 * lanes,
+            classes,
+        })
+    }
+
+    /// Integrates `raw` against every qubit's reference with `kernel`,
+    /// at most [`CMUL_LANES`] qubits per pass, and hands each qubit's
+    /// integrated point and class constants to `visit`, in qubit order.
+    /// The caller has checked the trace length.
+    fn walk(
+        &self,
+        raw: &[Complex],
+        kernel: CmulSumFn,
+        mut visit: impl FnMut([f64; 2], &[ClassTerms]),
+    ) {
+        let iq = Complex::as_interleaved(raw);
+        let n = raw.len() as f64;
+        let mut acc = [0.0f64; 2 * CMUL_LANES];
+        for (block, classes) in self.classes.chunks(CMUL_LANES).enumerate() {
+            let q0 = block * CMUL_LANES;
+            let acc = &mut acc[..2 * classes.len().next_multiple_of(2)];
+            kernel(&self.table[2 * q0..], self.stride, iq, acc);
+            for (z, classes) in acc.chunks_exact(2).zip(classes) {
+                // `integrate`: the mean of the baseband samples, zero for
+                // an empty trace.
+                let x = if raw.is_empty() {
+                    [0.0, 0.0]
+                } else {
+                    [z[0] / n, z[1] / n]
+                };
+                visit(x, classes);
+            }
+        }
+    }
+
+    fn predict(&self, raw: &[Complex], kernel: CmulSumFn) -> Vec<usize> {
+        let mut verdicts = Vec::with_capacity(self.classes.len());
+        self.walk(raw, kernel, |x, classes| {
+            let scores = classes.iter().map(|t| t.score(x));
+            verdicts.push(mlr_num::argmax_iter(scores).expect("at least one class"));
+        });
+        verdicts
+    }
+
+    fn scores(&self, raw: &[Complex], kernel: CmulSumFn) -> Vec<Vec<f64>> {
+        let mut scores = Vec::with_capacity(self.classes.len());
+        self.walk(raw, kernel, |x, classes| {
+            scores.push(classes.iter().map(|t| t.score(x)).collect());
+        });
+        scores
+    }
+}
+
+/// How a fitted discriminant serves `predict_shot`/`predict_batch`.
+#[derive(Debug, Clone)]
+enum Serving {
+    /// LDA: the fused single-pass plan. Under a pooled covariance the
+    /// quadratic term `−½·xᵀΣ⁻¹x` is the same for every class, so the
+    /// decision is linear in `x` and composes with demodulation +
+    /// integration into one kernel row per (qubit, level) against the raw
+    /// trace.
+    Plan(CompiledPlan),
+    /// QDA: per-class covariances keep the quadratic form
+    /// class-dependent, so there is no f32 plan; the f64 single-pass
+    /// scorer serves it instead, bit-identical to the layered path.
+    Scorer(QdaScorer),
+}
+
+impl Serving {
+    fn build(
+        demod: &Demodulator,
+        models: &[QubitModel],
+        kind: DiscriminantKind,
+    ) -> Result<Self, String> {
+        Ok(match kind {
+            DiscriminantKind::Lda => Serving::Plan(plan::compile(lda_graph(demod, models))),
+            DiscriminantKind::Qda => Serving::Scorer(QdaScorer::new(demod, models)?),
+        })
+    }
+}
+
 /// Training-free per-qubit LDA/QDA over demodulated, boxcar-integrated IQ
 /// points (two features per qubit).
 ///
@@ -65,18 +237,18 @@ impl QubitModel {
 /// evaluate, blind to trace-shape information (mid-readout decay), and
 /// blind to other qubits' state (crosstalk) — which is exactly why the
 /// matched-filter + NN designs beat them.
+///
+/// LDA serves through a fused f32 plan ([`Self::plan`]). QDA has no f32
+/// plan — its per-class quadratic form does not lower to a kernel bank —
+/// but serves through an f64 single-pass scorer that demodulates every
+/// qubit in one walk over the trace and is bit-identical to
+/// [`Self::predict_shot_layered`].
 #[derive(Debug, Clone)]
 pub struct DiscriminantAnalysis {
     demod: Demodulator,
     models: Vec<QubitModel>,
     kind: DiscriminantKind,
-    /// Fused single-pass plan — LDA only. Under a pooled covariance the
-    /// quadratic term `−½·xᵀΣ⁻¹x` is the same for every class, so the
-    /// decision is linear in `x` and composes with demodulation +
-    /// integration into one kernel row per (qubit, level) against the raw
-    /// trace. QDA's per-class covariances keep the quadratic form
-    /// class-dependent, so it stays layered (`plan` is `None`).
-    plan: Option<CompiledPlan>,
+    serving: Serving,
 }
 
 /// Builds the LDA op graph: one kernel row per (qubit, level).
@@ -220,13 +392,12 @@ impl DiscriminantAnalysis {
             })
             .collect();
 
-        let plan =
-            (kind == DiscriminantKind::Lda).then(|| plan::compile(lda_graph(&demod, &models)));
+        let serving = Serving::build(&demod, &models, kind).expect("fitted models are 2-D");
         Self {
             demod,
             models,
             kind,
-            plan,
+            serving,
         }
     }
 
@@ -236,9 +407,64 @@ impl DiscriminantAnalysis {
     }
 
     /// Borrows the compiled single-pass plan — `Some` for LDA, `None` for
-    /// QDA (whose per-class quadratic form is not lowerable).
+    /// QDA, whose per-class quadratic form does not lower to an f32 kernel
+    /// bank (QDA serves through the bit-identical f64 single-pass scorer
+    /// instead; see [`Self::predict_shot_with`]).
     pub fn plan(&self) -> Option<&CompiledPlan> {
-        self.plan.as_ref()
+        match &self.serving {
+            Serving::Plan(plan) => Some(plan),
+            Serving::Scorer(_) => None,
+        }
+    }
+
+    fn scorer(&self) -> Option<&QdaScorer> {
+        match &self.serving {
+            Serving::Scorer(scorer) => Some(scorer),
+            Serving::Plan(_) => None,
+        }
+    }
+
+    /// QDA's single-pass scorer verdicts for one trace, with the
+    /// demodulate-integrate kernel given explicitly
+    /// ([`mlr_nn::cmul_sum_f64`], which `predict_shot` uses, its scalar
+    /// mirror or its AVX2 path) — `None` for LDA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is longer than the demodulation reference.
+    pub fn predict_shot_with(&self, raw: &[Complex], kernel: CmulSumFn) -> Option<Vec<usize>> {
+        let scorer = self.scorer()?;
+        self.demod.check_len(raw.len());
+        Some(scorer.predict(raw, kernel))
+    }
+
+    /// QDA's single-pass scorer class scores for one trace, per qubit,
+    /// with the kernel given as for [`Self::predict_shot_with`] — `None`
+    /// for LDA. Bit-identical to [`Self::class_scores_layered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is longer than the demodulation reference.
+    pub fn scores_with(&self, raw: &[Complex], kernel: CmulSumFn) -> Option<Vec<Vec<f64>>> {
+        let scorer = self.scorer()?;
+        self.demod.check_len(raw.len());
+        Some(scorer.scores(raw, kernel))
+    }
+
+    /// Layered Gaussian discriminant scores for one trace, per qubit and
+    /// class — what [`Self::predict_shot_layered`] argmaxes, and the
+    /// reference the single-pass scorer is checked against.
+    pub fn class_scores_layered(&self, raw: &[Complex]) -> Vec<Vec<f64>> {
+        self.models
+            .iter()
+            .enumerate()
+            .map(|(q, model)| {
+                let z = integrate(&self.demod.demodulate(raw, q));
+                (0..model.means.len())
+                    .map(|c| model.discriminant(&[z.re, z.im], c))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Reference layered path — demodulate, integrate, score the full
@@ -288,19 +514,22 @@ impl DiscriminantAnalysis {
 
 impl Discriminator for DiscriminantAnalysis {
     /// LDA serves through the fused plan (one kernel row per class against
-    /// the raw trace, argmax fused); QDA stays on the layered Gaussian
-    /// scoring.
+    /// the raw trace, argmax fused); QDA through the f64 single-pass
+    /// scorer, bit-identical to the layered Gaussian scoring.
     fn predict_shot(&self, raw: &[Complex]) -> Vec<usize> {
-        match &self.plan {
-            Some(plan) => plan.predict_shot(raw),
-            None => self.predict_shot_layered(raw),
+        match &self.serving {
+            Serving::Plan(plan) => plan.predict_shot(raw),
+            Serving::Scorer(scorer) => {
+                self.demod.check_len(raw.len());
+                scorer.predict(raw, cmul_sum_f64)
+            }
         }
     }
 
     fn predict_batch(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        match &self.plan {
-            Some(plan) => plan.predict_batch(shots),
-            None => self.predict_batch_layered(shots),
+        match &self.serving {
+            Serving::Plan(plan) => plan.predict_batch(shots),
+            Serving::Scorer(_) => crate::par_map(shots, |raw| self.predict_shot(raw)),
         }
     }
 
@@ -349,13 +578,13 @@ impl DiscriminantAnalysis {
             )));
         }
         let demod = Demodulator::new(&chip);
-        let plan = (saved.kind == DiscriminantKind::Lda)
-            .then(|| plan::compile(lda_graph(&demod, &saved.models)));
+        let serving = Serving::build(&demod, &saved.models, saved.kind)
+            .map_err(crate::ModelIoError::Invalid)?;
         Ok(Self {
             demod,
             models: saved.models,
             kind: saved.kind,
-            plan,
+            serving,
         })
     }
 }
@@ -417,6 +646,9 @@ mod tests {
         assert_eq!(plan.n_kernel_rows(), 2 * 3);
         let shots: Vec<&[Complex]> = split.test.iter().map(|&i| ds.raw(i)).collect();
         assert_eq!(lda.predict_batch(&shots), lda.predict_batch_layered(&shots));
+        // The QDA scorer's entry points are QDA-only.
+        assert!(lda.scores_with(shots[0], cmul_sum_f64).is_none());
+        assert!(lda.predict_shot_with(shots[0], cmul_sum_f64).is_none());
         // The fused rows compute the layered linear scores (quadratic
         // class-constant dropped) — compare logits within f32 noise.
         for &i in split.test.iter().take(10) {
@@ -438,6 +670,27 @@ mod tests {
         let (ds, split) = dataset();
         let qda = DiscriminantAnalysis::fit(&ds, &split, DiscriminantKind::Qda);
         assert!(qda.plan().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "trace longer than demodulation reference")]
+    fn qda_rejects_a_trace_longer_than_the_reference() {
+        let (ds, split) = dataset();
+        let qda = DiscriminantAnalysis::fit(&ds, &split, DiscriminantKind::Qda);
+        let mut long = ds.raw(0).to_vec();
+        long.push(Complex::ONE);
+        let _ = qda.predict_batch(&[&long]);
+    }
+
+    #[test]
+    fn qda_load_rejects_a_body_the_scorer_cannot_use() {
+        let (ds, split) = dataset();
+        let qda = DiscriminantAnalysis::fit(&ds, &split, DiscriminantKind::Qda);
+        let mut saved = qda.to_saved();
+        saved.models[1].means[2].pop();
+        let err = DiscriminantAnalysis::from_saved(saved, ds.config().clone())
+            .expect_err("a 1-D class mean cannot be scored");
+        assert!(err.to_string().contains("qubit 1"), "{err}");
     }
 
     #[test]

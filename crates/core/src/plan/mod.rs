@@ -43,6 +43,10 @@
 //! distance under per-class covariances) — not a fixed linear bank — and
 //! the HMM decodes each trace *sequentially* through time-dependent
 //! emissions, so neither reduces to dot-products against static kernels.
+//! QDA still has a single-pass path, just not an f32 plan: it serves
+//! through an f64 scorer that demodulates every tone in one walk over the
+//! trace and scores each class from constants built at fit/load time,
+//! bit-identical to its layered reference (see `DiscriminantAnalysis`).
 //!
 //! Joint crosstalk-aware kernels (`joint_neighbors > 0` on the OURS
 //! families) need no compiler support: widening a kernel row with a

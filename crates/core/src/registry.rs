@@ -164,19 +164,30 @@ impl TrainedModel {
         }
     }
 
+    /// Borrows the concrete discriminant when this is the `LDA` or `QDA`
+    /// family (for the scorer's bit-identity checks).
+    pub fn as_discriminant(&self) -> Option<&DiscriminantAnalysis> {
+        match &self.inner {
+            Family::Discriminant(m) => Some(m),
+            _ => None,
+        }
+    }
+
     /// Whether this family serves through a compiled single-pass
     /// inference plan ([`crate::CompiledPlan`]) — true for eight of the
     /// ten families: OURS, OURS-NO-EMF, OURS-INT, HERQULES, FNN,
     /// OURS-STREAM (one plan per checkpoint), LDA, and the autoencoder.
     /// False for QDA (per-class quadratic form) and the HMM (sequential
-    /// decoding), which cannot lower to static kernel banks.
+    /// decoding), which cannot lower to static kernel banks. QDA still
+    /// serves single-pass, through its bit-identical f64 scorer.
     pub fn has_plan(&self) -> bool {
         !self.plans().is_empty()
     }
 
     /// Every compiled plan this model serves through: one for most
     /// plan-capable families, one per checkpoint for OURS-STREAM, none
-    /// for QDA and the HMM.
+    /// for QDA (no f32 plan; it serves through an f64 single-pass scorer)
+    /// and the HMM.
     pub fn plans(&self) -> Vec<&crate::CompiledPlan> {
         match &self.inner {
             Family::Ours(m) => vec![m.plan()],
@@ -192,8 +203,10 @@ impl TrainedModel {
 
     /// Batch inference through the family's original layered stages —
     /// the reference implementation for plan-vs-layered comparisons
-    /// (throughput baselines, equivalence checks). For families without a
-    /// compiled plan this is the same as [`Discriminator::predict_batch`].
+    /// (throughput baselines, equivalence checks). QDA's layered path
+    /// demodulates and scores qubit by qubit, where its `predict_batch`
+    /// runs the bit-identical single-pass scorer; for the HMM this is the
+    /// same as [`Discriminator::predict_batch`].
     ///
     /// # Panics
     ///

@@ -75,11 +75,47 @@ impl Demodulator {
     /// reference table.
     pub fn demodulate(&self, raw: &[Complex], q: usize) -> Vec<Complex> {
         let refs = &self.references[q];
+        self.check_len(raw.len());
+        raw.iter().zip(refs).map(|(&s, &r)| s * r).collect()
+    }
+
+    /// Checks that a trace of `len` samples fits the reference tables —
+    /// the one length rule every demodulating path shares.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "trace longer than demodulation reference" if `len`
+    /// exceeds [`Demodulator::n_samples`].
+    pub fn check_len(&self, len: usize) {
         assert!(
-            raw.len() <= refs.len(),
+            len <= self.n_samples(),
             "trace longer than demodulation reference"
         );
-        raw.iter().zip(refs).map(|(&s, &r)| s * r).collect()
+    }
+
+    /// Every qubit's reference phasors laid out sample-major and
+    /// interleaved: row `t` is `lanes` complex lanes, lane `q < n_qubits`
+    /// holding `(re, im)` of qubit `q`'s phasor at sample `t` and the
+    /// remaining lanes the zero phasor. A single pass over the trace can
+    /// then demodulate every tone from one row per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is smaller than [`Demodulator::n_qubits`].
+    pub fn sample_major_table(&self, lanes: usize) -> Vec<f64> {
+        assert!(
+            lanes >= self.n_qubits(),
+            "{lanes} lanes for {} qubits",
+            self.n_qubits()
+        );
+        let mut table = vec![0.0; self.n_samples() * 2 * lanes];
+        for (q, refs) in self.references.iter().enumerate() {
+            for (t, r) in refs.iter().enumerate() {
+                table[(t * lanes + q) * 2] = r.re;
+                table[(t * lanes + q) * 2 + 1] = r.im;
+            }
+        }
+        table
     }
 
     /// Demodulates all channels at once.
@@ -143,6 +179,23 @@ mod tests {
         let demod = Demodulator::new(&c);
         let raw = vec![Complex::ONE; 40];
         assert_eq!(demod.demodulate(&raw, 1).len(), 40);
+    }
+
+    #[test]
+    fn sample_major_table_interleaves_every_tone_per_sample() {
+        let c = tiny_config();
+        let demod = Demodulator::new(&c);
+        let table = demod.sample_major_table(4);
+        assert_eq!(table.len(), c.n_samples * 8);
+        for t in [0, 1, 57, c.n_samples - 1] {
+            let row = &table[t * 8..][..8];
+            for q in 0..2 {
+                let r = demod.reference(q)[t];
+                assert_eq!(row[2 * q].to_bits(), r.re.to_bits());
+                assert_eq!(row[2 * q + 1].to_bits(), r.im.to_bits());
+            }
+            assert_eq!(&row[4..], &[0.0; 4]);
+        }
     }
 
     #[test]

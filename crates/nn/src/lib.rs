@@ -45,11 +45,13 @@ pub use mlp::{ForwardScratch, Mlp};
 pub use quantize::{FixedPointFormat, QuantizedMlp};
 pub use regression::{RegressionData, RegressionReport};
 pub use simd::{
-    avx512_active, dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar,
-    fma_active, fma_f32, fma_f32_scalar, narrow_f32, simd_active, PlanPrecision, SimdTier,
-    SHOT_LANES,
+    avx512_active, cmul_sum_f64, cmul_sum_f64_scalar, dot_f32, dot_f32_scalar, dot_lanes,
+    dot_lanes_scalar, dot_tile, dot_tile_scalar, fma_active, fma_f32, fma_f32_scalar, narrow_f32,
+    simd_active, CmulSumFn, PlanPrecision, SimdTier, CMUL_LANES, SHOT_LANES,
 };
 #[cfg(target_arch = "x86_64")]
-pub use simd::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512, fma_f32_avx2};
+pub use simd::{
+    cmul_sum_f64_avx2, dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512, fma_f32_avx2,
+};
 pub use standardize::Standardizer;
 pub use train::{inverse_frequency_weights, DataError, TrainConfig, TrainData, TrainReport};

@@ -71,6 +71,17 @@
 //! [`narrow_f32`] converts the `f64` IQ samples a plan flattens into the
 //! `f32` the kernels score (`_mm512_cvtpd_ps` / `_mm256_cvtpd_ps`), with
 //! the same round-to-nearest-even as `x as f32`.
+//!
+//! # Demodulate-integrate (`f64`)
+//!
+//! [`cmul_sum_f64`] is the one `f64` kernel here: it demodulates an
+//! interleaved IQ trace against up to [`CMUL_LANES`] reference tones and
+//! sums each baseband, in one walk over the trace. Each tone's sum runs in
+//! the same sequential order and with the same roundings as demodulating
+//! that tone alone and summing the result from `+0.0`, so its output is
+//! bit-identical to the per-tone path on the AVX2 path (two tones per ymm:
+//! `mul`, `permute`, `mul`, `addsub`, `add`, no FMA) and on the scalar
+//! mirror alike. QDA serves through it.
 
 use std::ops::Range;
 
@@ -700,6 +711,144 @@ mod narrow {
             i += 4;
         }
         scalar(&src[full..], &mut dst[full..]);
+    }
+}
+
+/// Most complex lanes (tones) one [`cmul_sum_f64`] call carries: four
+/// ymm accumulators of two tones each.
+pub const CMUL_LANES: usize = 8;
+
+/// The signature [`cmul_sum_f64`], its scalar mirror and its AVX2 path
+/// share, so a caller can pin one of them.
+pub type CmulSumFn = fn(&[f64], usize, &[f64], &mut [f64]);
+
+/// The shape checks every [`cmul_sum_f64`] entry point makes.
+fn cmul_shape(table: &[f64], stride: usize, iq: &[f64], acc: &[f64]) {
+    assert!(
+        acc.len().is_multiple_of(4) && acc.len() <= 2 * CMUL_LANES,
+        "accumulator must hold whole tone pairs, at most {CMUL_LANES} tones"
+    );
+    assert!(iq.len().is_multiple_of(2), "trace must be interleaved IQ");
+    // Checked arithmetic: the AVX2 path's reads rely on this bound.
+    let n = iq.len() / 2;
+    let fits = n == 0
+        || (n - 1)
+            .checked_mul(stride)
+            .and_then(|start| start.checked_add(acc.len()))
+            .is_some_and(|end| end <= table.len());
+    assert!(
+        stride >= acc.len() && fits,
+        "reference table too short for the trace"
+    );
+}
+
+/// Demodulates and integrates one interleaved IQ trace against a block of
+/// reference tones in a single pass: with `k = acc.len() / 2` tones and
+/// `ref_j(t) = (table[t·stride + 2j], table[t·stride + 2j + 1])`,
+/// `acc[2j..2j + 2]` becomes `Σ_t iq(t) · ref_j(t)` as a complex number.
+/// Each tone's sum starts from `+0.0` and runs sequentially in `t`, every
+/// step rounded exactly like `Complex::mul` followed by `Complex::add`
+/// (`re = s.re·r.re − s.im·r.im`, `im = s.re·r.im + s.im·r.re`, no FMA),
+/// so the result is bit-identical to demodulating one tone at a time and
+/// summing the baseband samples. The AVX2 path holds two tones per ymm
+/// (`mul`, `permute`, `mul`, `addsub`, `add`); the scalar mirror is
+/// [`cmul_sum_f64_scalar`].
+///
+/// # Panics
+///
+/// Panics unless `acc` holds whole tone pairs (`acc.len()` a multiple of
+/// 4, at most `2 ·` [`CMUL_LANES`]), `iq` is whole samples, and `table`
+/// has a `stride`-wide row (at least `acc.len()` wide) for every sample.
+pub fn cmul_sum_f64(table: &[f64], stride: usize, iq: &[f64], acc: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        return cmul_sum_f64_avx2(table, stride, iq, acc);
+    }
+    cmul_sum_f64_scalar(table, stride, iq, acc);
+}
+
+/// [`cmul_sum_f64`]'s scalar mirror.
+///
+/// # Panics
+///
+/// As [`cmul_sum_f64`].
+pub fn cmul_sum_f64_scalar(table: &[f64], stride: usize, iq: &[f64], acc: &mut [f64]) {
+    cmul_shape(table, stride, iq, acc);
+    acc.fill(0.0);
+    for (t, s) in iq.chunks_exact(2).enumerate() {
+        let (sr, si) = (s[0], s[1]);
+        let refs = &table[t * stride..][..acc.len()];
+        for (a, r) in acc.chunks_exact_mut(2).zip(refs.chunks_exact(2)) {
+            a[0] += sr * r[0] - si * r[1];
+            a[1] += sr * r[1] + si * r[0];
+        }
+    }
+}
+
+/// [`cmul_sum_f64`]'s AVX2 path, exposed for the bit-agreement tests.
+///
+/// # Panics
+///
+/// Panics if AVX2 is unavailable on this host (see [`simd_active`]), and
+/// as [`cmul_sum_f64`].
+#[cfg(target_arch = "x86_64")]
+pub fn cmul_sum_f64_avx2(table: &[f64], stride: usize, iq: &[f64], acc: &mut [f64]) {
+    assert!(avx2_enabled(), "AVX2 unavailable on this host");
+    cmul_shape(table, stride, iq, acc);
+    // SAFETY: AVX2 was checked above, and `cmul_shape` checked that every
+    // sample's table row holds the `acc.len()` floats the block reads.
+    unsafe {
+        match acc.len() / 4 {
+            0 => {}
+            1 => cmul::sum::<1>(table, stride, iq, acc),
+            2 => cmul::sum::<2>(table, stride, iq, acc),
+            3 => cmul::sum::<3>(table, stride, iq, acc),
+            _ => cmul::sum::<4>(table, stride, iq, acc),
+        }
+    }
+}
+
+/// [`cmul_sum_f64_avx2`]'s body, one monomorphisation per tone-pair
+/// count so every accumulator stays in a register.
+#[cfg(target_arch = "x86_64")]
+mod cmul {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_addsub_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_permute_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+
+    /// # Safety
+    ///
+    /// AVX2 must be available, `acc` must hold `4 · P` floats, and
+    /// `table[t * stride..]` must hold `4 · P` floats for every sample `t`
+    /// of `iq`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sum<const P: usize>(
+        table: &[f64],
+        stride: usize,
+        iq: &[f64],
+        acc: &mut [f64],
+    ) {
+        let mut a = [_mm256_setzero_pd(); P];
+        for (t, s) in iq.chunks_exact(2).enumerate() {
+            let sr = _mm256_broadcast_sd(&s[0]);
+            let si = _mm256_broadcast_sd(&s[1]);
+            let row = table.as_ptr().add(t * stride);
+            for (p, a) in a.iter_mut().enumerate() {
+                // r = [re₀, im₀, re₁, im₁] of two tones; the permute swaps
+                // each tone's pair so `addsub` yields
+                // [sr·re₀ − si·im₀, sr·im₀ + si·re₀, …].
+                let r = _mm256_loadu_pd(row.add(4 * p));
+                let d = _mm256_addsub_pd(
+                    _mm256_mul_pd(sr, r),
+                    _mm256_mul_pd(si, _mm256_permute_pd::<0b0101>(r)),
+                );
+                *a = _mm256_add_pd(*a, d);
+            }
+        }
+        for (p, a) in a.iter().enumerate() {
+            _mm256_storeu_pd(acc.as_mut_ptr().add(4 * p), *a);
+        }
     }
 }
 
@@ -1336,6 +1485,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cmul_sum_kernels_agree_bitwise_with_tone_by_tone_demodulation() {
+        let mut kernels: Vec<(&str, CmulSumFn)> =
+            vec![("dispatch", cmul_sum_f64), ("scalar", cmul_sum_f64_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if simd_active() {
+            kernels.push(("avx2", cmul_sum_f64_avx2));
+        }
+        // A third spreads each value over the full f64 mantissa, so the
+        // products are not exact and a fused or reordered step would round
+        // differently.
+        let widen =
+            |v: Vec<f32>| -> Vec<f64> { v.into_iter().map(|x| f64::from(x) / 3.0).collect() };
+        let n_max = 150;
+        // Rows of ten tones, one pad float either side of the block.
+        let stride = 22;
+        let (table, iq) = vecs(n_max * stride);
+        let (mut table, mut iq) = (widen(table), widen(iq)[..2 * n_max].to_vec());
+        // Signed zeros throughout and a NaN in tone 1's reference; ±∞ and
+        // NaN samples only past sample 137, so shorter windows keep every
+        // other tone finite.
+        for i in (5..table.len()).step_by(7) {
+            table[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        for i in (3..iq.len()).step_by(13) {
+            iq[i] = -0.0;
+        }
+        table[1 + 40 * stride + 3] = f64::NAN;
+        iq[2 * 140] = f64::INFINITY;
+        iq[2 * 141 + 1] = f64::NEG_INFINITY;
+        iq[2 * 145] = f64::NAN;
+        for n in [0, 1, 2, 137, n_max] {
+            for pairs in 0..=CMUL_LANES / 2 {
+                let width = 4 * pairs;
+                let block = &table[1..];
+                let iq = &iq[..2 * n];
+                for (name, kernel) in &kernels {
+                    let mut acc = vec![f64::NAN; width];
+                    kernel(block, stride, iq, &mut acc);
+                    for j in 0..width / 2 {
+                        let (mut re, mut im) = (0.0f64, 0.0f64);
+                        for (t, s) in iq.chunks_exact(2).enumerate() {
+                            let r = &block[t * stride + 2 * j..][..2];
+                            re += s[0] * r[0] - s[1] * r[1];
+                            im += s[0] * r[1] + s[1] * r[0];
+                        }
+                        for (got, want) in [(acc[2 * j], re), (acc[2 * j + 1], im)] {
+                            assert!(
+                                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                                "{name} n {n} pairs {pairs} tone {j}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole tone pairs")]
+    fn cmul_sum_rejects_a_half_pair() {
+        cmul_sum_f64(&[0.0; 8], 4, &[1.0, 0.0], &mut [0.0; 2]);
     }
 
     #[test]

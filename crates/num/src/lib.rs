@@ -21,5 +21,6 @@ mod stats;
 
 pub use complex::Complex;
 pub use stats::{
-    argmax, argmin, linspace, mean, median, percentile, variance, RunningStats, Welford,
+    argmax, argmax_iter, argmin, linspace, mean, median, percentile, variance, RunningStats,
+    Welford,
 };

@@ -222,9 +222,15 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// Index of the maximum element; `None` for an empty slice. Ties resolve to
 /// the first occurrence.
 pub fn argmax(xs: &[f64]) -> Option<usize> {
-    xs.iter()
+    argmax_iter(xs.iter().copied())
+}
+
+/// [`argmax`] over any sequence, for callers that score on the fly
+/// instead of collecting a slice: the same fold, so the same tie rule.
+pub fn argmax_iter(xs: impl IntoIterator<Item = f64>) -> Option<usize> {
+    xs.into_iter()
         .enumerate()
-        .fold(None, |best, (i, &x)| match best {
+        .fold(None, |best, (i, x)| match best {
             Some((_, bx)) if bx >= x => best,
             _ => Some((i, x)),
         })

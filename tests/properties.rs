@@ -219,6 +219,42 @@ fn joint_zoo() -> &'static JointZoo {
     })
 }
 
+/// QDA fixtures for the single-pass scorer property, fitted once: one
+/// chip of each size from 1 to 6 qubits (odd sizes run the scorer's
+/// padded lane), each with its QDA model fitted through the registry and
+/// that model after a save→load round trip (`from_saved` rebuilds the
+/// scorer's tables).
+struct QdaZoo {
+    /// `(dataset, fitted, reloaded)` per qubit count.
+    chips: Vec<(TraceDataset, TrainedModel, TrainedModel)>,
+}
+
+/// Trace length of every [`QdaZoo`] chip.
+const QDA_SAMPLES: usize = 150;
+
+fn qda_zoo() -> &'static QdaZoo {
+    static ZOO: OnceLock<QdaZoo> = OnceLock::new();
+    ZOO.get_or_init(|| {
+        let spec: DiscriminatorSpec = "QDA".parse().expect("registry design");
+        let chips = (1..=6u32)
+            .map(|n_qubits| {
+                let mut chip = ChipConfig::uniform(n_qubits as usize);
+                chip.n_samples = QDA_SAMPLES;
+                // Every basis state at least once, ~60 shots in all.
+                let shots_per_state = (60 / 3usize.pow(n_qubits)).max(1);
+                let ds = TraceDataset::generate(&chip, 3, shots_per_state, 41);
+                let split = ds.split(0.7, 0.0, 41);
+                let model = registry::fit(&spec, &ds, &split, 41);
+                let mut buf = Vec::new();
+                model.save_json(&mut buf).expect("model serialises");
+                let reloaded = registry::load_json(buf.as_slice()).expect("envelope loads");
+                (ds, model, reloaded)
+            })
+            .collect();
+        QdaZoo { chips }
+    })
+}
+
 /// A scalar single-pair dot product.
 type DotFn = fn(&[f32], &[f32]) -> f32;
 
@@ -1135,6 +1171,68 @@ proptest! {
                 "design {}",
                 model.name()
             );
+        }
+    }
+
+    #[test]
+    fn qda_scorer_matches_the_layered_reference_bit_for_bit(
+        pick in any::<u64>(),
+        window in 0usize..4,
+        specials in prop::collection::vec((any::<u64>(), 0usize..5, any::<bool>()), 0..6),
+    ) {
+        // QDA serves through the f64 single-pass scorer (one walk over the
+        // trace for every tone, class constants precomputed). On every
+        // chip size, window length (empty, one sample, truncated, full),
+        // non-finite and signed-zero sample, scorer kernel (scalar mirror,
+        // AVX2 path, dispatch) and on both the fitted and the reloaded
+        // model, its per-class f64 scores must equal the layered Gaussian
+        // discriminant to the bit (any NaN matches any NaN) and its
+        // verdicts must equal the layered path's.
+        let mut kernels: Vec<(&str, mlr_nn::CmulSumFn)> = vec![
+            ("dispatch", mlr_nn::cmul_sum_f64),
+            ("scalar", mlr_nn::cmul_sum_f64_scalar),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if mlr_nn::simd_active() {
+            kernels.push(("avx2", mlr_nn::cmul_sum_f64_avx2));
+        }
+        let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        for (ds, fitted, reloaded) in &qda_zoo().chips {
+            let len = [0, 1, 137, QDA_SAMPLES][window];
+            let mut raw = ds.raw((pick as usize) % ds.len())[..len].to_vec();
+            for &(at, value, im) in &specials {
+                if let Some(z) = raw.get_mut((at as usize) % len.max(1)) {
+                    *if im { &mut z.im } else { &mut z.re } = values[value];
+                }
+            }
+            let shots: Vec<&[Complex]> = vec![&raw];
+            for model in [fitted, reloaded] {
+                let qda = model.as_discriminant().expect("QDA family");
+                prop_assert!(!model.has_plan());
+                let layered = qda.predict_shot_layered(&raw);
+                let want = qda.class_scores_layered(&raw);
+                for (name, kernel) in &kernels {
+                    let got = qda.scores_with(&raw, *kernel).expect("QDA scorer");
+                    prop_assert_eq!(got.len(), want.len());
+                    for (q, (gq, wq)) in got.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(gq.len(), wq.len());
+                        for (c, (&g, &w)) in gq.iter().zip(wq).enumerate() {
+                            prop_assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "{} {} qubits, window {}, qubit {} class {}: {} vs {}",
+                                name, qda.n_qubits(), len, q, c, g, w
+                            );
+                        }
+                    }
+                    prop_assert_eq!(
+                        qda.predict_shot_with(&raw, *kernel).expect("QDA scorer"),
+                        layered.clone(),
+                        "{} {} qubits, window {}", name, qda.n_qubits(), len
+                    );
+                }
+                prop_assert_eq!(model.predict_shot(&raw), layered.clone());
+                prop_assert_eq!(model.predict_batch(&shots), vec![layered]);
+            }
         }
     }
 
