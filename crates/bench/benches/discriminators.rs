@@ -7,12 +7,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mlr_baselines::{
-    DiscriminantAnalysis, DiscriminantKind, FnnBaseline, FnnConfig, HerqulesBaseline,
-    HerqulesConfig,
-};
 use mlr_bench::measure_throughput;
-use mlr_core::{Discriminator, OursConfig, OursDiscriminator};
+use mlr_core::{
+    DiscriminantAnalysis, DiscriminantKind, Discriminator, FnnBaseline, FnnConfig,
+    HerqulesBaseline, HerqulesConfig, OursConfig, OursDiscriminator,
+};
 use mlr_dsp::{iq_features, Demodulator};
 use mlr_nn::TrainConfig;
 use mlr_sim::{ChipConfig, TraceDataset};

@@ -74,8 +74,7 @@ fn bench_int_vs_float_head(c: &mut Criterion) {
 }
 
 fn bench_related_work_predict(c: &mut Criterion) {
-    use mlr_baselines::{AutoencoderBaseline, AutoencoderConfig, HmmBaseline, HmmConfig};
-    use mlr_core::Discriminator;
+    use mlr_core::{AutoencoderBaseline, AutoencoderConfig, Discriminator, HmmBaseline, HmmConfig};
     use mlr_nn::TrainConfig;
 
     let mut chip = ChipConfig::uniform(2);

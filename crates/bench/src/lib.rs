@@ -439,10 +439,10 @@ impl BenchRow {
     }
 }
 
-/// The instruction set [`mlr_core::plan::dot_tile`] scores the default
-/// plan tier with on this host — what a bench row's `simd` records.
+/// The instruction set [`mlr_core::plan::dot_tile`] scores with on this
+/// host — what a bench row's `simd` records.
 pub fn simd_tier() -> &'static str {
-    mlr_core::plan::PlanPrecision::default().tile_tier().name()
+    mlr_core::plan::tile_tier().name()
 }
 
 /// The short git revision of the working tree at call time, with a

@@ -22,8 +22,7 @@
 //!   code (Luchi et al., Phys. Rev. Applied 20, 014045, Sec. I).
 //!
 //! All baselines implement [`crate::Discriminator`], so the reproduction
-//! harness evaluates them interchangeably with the proposed design. The
-//! `mlr-baselines` crate re-exports these types for compatibility.
+//! harness evaluates them interchangeably with the proposed design.
 
 mod autoencoder;
 mod discriminant;

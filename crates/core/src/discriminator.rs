@@ -8,7 +8,7 @@ use mlr_sim::TraceDataset;
 /// per-qubit level decisions, one shot at a time or as a batch.
 ///
 /// Implemented by [`crate::OursDiscriminator`] and by every baseline in
-/// `mlr-baselines`, so the evaluation and reproduction harnesses can treat
+/// `mlr_core::baselines`, so the evaluation and reproduction harnesses can treat
 /// them uniformly. The harness-facing entry point is
 /// [`Discriminator::predict_batch`]: [`evaluate`] and the bench/CLI layers
 /// feed whole shot sets through it, and implementations with a cheaper

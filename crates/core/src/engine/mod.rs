@@ -925,7 +925,7 @@ impl Tenant {
                 return;
             }
         };
-        self.stats.record_flush(batch.len());
+        self.stats.record_flush();
         let resolved_at = self.clock.now();
         let n = batch.len() as u64;
         let mut latency_sum = 0u64;

@@ -56,9 +56,8 @@ impl StatCells {
         self.rejected_closed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    pub(super) fn record_flush(&self, batch: usize) {
+    pub(super) fn record_flush(&self) {
         self.flushes.fetch_add(1, Ordering::Relaxed);
-        let _ = batch;
     }
 
     /// Counts a whole flush's completions in one set of atomic adds —
@@ -200,7 +199,7 @@ mod tests {
         cells.record_submit(Qos::Standard, 2);
         cells.record_submit(Qos::Bulk, 3);
         cells.record_shed(Qos::Bulk);
-        cells.record_flush(2);
+        cells.record_flush();
         cells.record_completed_batch(2, 40_000, 30_000);
         cells.record_failed(1);
 

@@ -30,27 +30,15 @@
 //! the association order inside a pair. Each pair keeps `dot_f32`'s own
 //! sequence: 32 accumulators, `(acc0+acc1)+(acc2+acc3)`, the fixed
 //! horizontal tree and the serial remainder in order. Every score is
-//! therefore bit-identical to scoring the pair alone with the tier's
-//! single-pair dot, whatever the tile size or batch split, which is what
-//! makes batch and per-shot decisions identical and keeps the
-//! reproducible tier's host-independent verdicts with no new knob.
+//! therefore bit-identical to scoring the pair alone with `dot_f32`,
+//! whatever the tile size or batch split, which is what makes batch and
+//! per-shot decisions identical.
 //!
-//! # Precision tiers
+//! # Host independence
 //!
-//! Every plan scores through one of two dot tiers, selected by
-//! [`PlanPrecision`]:
-//!
-//! * [`PlanPrecision::Reproducible`] (default) — each pair equals
-//!   `dot_f32`: AVX-512, AVX2 and the scalar mirror agree
-//!   **bit-for-bit** (separate multiply-then-add, fixed reduction tree),
-//!   so every host serves identical decisions.
-//! * [`PlanPrecision::Fma`] — each pair equals `fma_f32`, fused
-//!   multiply-add on the vector paths (`_mm512_fmadd_ps` in the AVX-512
-//!   bank, `_mm256_fmadd_ps` elsewhere) and the scalar mirror
-//!   (`f32::mul_add`). One rounding per step instead of
-//!   two: slightly *more* accurate and faster on FMA hosts, but not
-//!   bit-compatible with the reproducible tier, which is why it is
-//!   opt-in.
+//! Every kernel multiplies and adds separately and reduces in a fixed
+//! tree, so AVX-512, AVX2 and the scalar mirror agree **bit-for-bit** and
+//! every host serves identical decisions.
 //!
 //! # Argmax
 //!
@@ -64,7 +52,7 @@
 
 use std::ops::Range;
 
-use mlr_nn::{dot_lanes, dot_tile, narrow_f32, IntMlp, PlanPrecision, SHOT_LANES};
+use mlr_nn::{dot_lanes, dot_tile, narrow_f32, IntMlp, SHOT_LANES};
 use mlr_num::Complex;
 
 use super::graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
@@ -107,19 +95,12 @@ impl DenseF32 {
         n_blocks: usize,
         x: impl Fn(usize) -> &'x [f32],
         out: &mut Vec<f32>,
-        precision: PlanPrecision,
     ) {
         let width = self.n_out * SHOT_LANES;
         out.clear();
         out.resize(n_blocks * width, 0.0);
         for g in 0..n_blocks {
-            dot_lanes(
-                precision,
-                &self.w,
-                self.n_in,
-                x(g),
-                &mut out[g * width..][..width],
-            );
+            dot_lanes(&self.w, self.n_in, x(g), &mut out[g * width..][..width]);
         }
         for (lanes, &bias) in out.chunks_exact_mut(SHOT_LANES).zip(self.b.iter().cycle()) {
             for v in lanes {
@@ -157,18 +138,17 @@ impl CompiledHead {
         n_blocks: usize,
         cur: &'a mut Vec<f32>,
         next: &'a mut Vec<f32>,
-        precision: PlanPrecision,
     ) -> (&'a [f32], usize, usize) {
         let block = x.len() / n_blocks;
         let Some((first, rest)) = self.layers.split_first() else {
             return (x, block, self.start * SHOT_LANES);
         };
         let (start, len) = (self.start * SHOT_LANES, self.len * SHOT_LANES);
-        first.forward_lanes(n_blocks, |g| &x[g * block + start..][..len], cur, precision);
+        first.forward_lanes(n_blocks, |g| &x[g * block + start..][..len], cur);
         for layer in rest {
             let width = layer.n_in * SHOT_LANES;
             let input: &[f32] = cur;
-            layer.forward_lanes(n_blocks, |g| &input[g * width..][..width], next, precision);
+            layer.forward_lanes(n_blocks, |g| &input[g * width..][..width], next);
             std::mem::swap(cur, next);
         }
         let width = self.width() * SHOT_LANES;
@@ -275,8 +255,8 @@ struct Scratch {
 
 /// A fused single-pass inference plan: the whole per-shot pipeline —
 /// flatten, matched-filter bank, (folded) standardisation, heads, argmax —
-/// lowered to `f32` tile kernels on the selected [`PlanPrecision`] tier
-/// and executed tile-major (see the module docs).
+/// lowered to `f32` tile kernels and executed tile-major (see the module
+/// docs).
 ///
 /// Compiled once at fit/load time ([`crate::plan::compile`]); the layered
 /// per-stage paths survive on each discriminator as the bit-exactness
@@ -311,7 +291,6 @@ pub struct CompiledPlan {
     n_logits: usize,
     decision: Decision,
     fuse: super::fuse::FuseReport,
-    precision: PlanPrecision,
 }
 
 impl CompiledPlan {
@@ -420,7 +399,6 @@ impl CompiledPlan {
             n_logits,
             decision,
             fuse,
-            precision: PlanPrecision::default(),
         }
     }
 
@@ -445,7 +423,7 @@ impl CompiledPlan {
     /// scores, widened exactly to `f64`, with every per-qubit head's
     /// feature range as its `take`. With [`CompiledPlan::kernel_spans`]
     /// this is everything the executor computes from, so a reader can
-    /// re-score the plan pair by pair with the tier's single-pair dot.
+    /// re-score the plan pair by pair with the single-pair dot.
     pub fn lowered_graph(&self) -> OpGraph {
         let widen = |xs: &[f32]| xs.iter().map(|&x| f64::from(x)).collect::<Vec<f64>>();
         let chain = |head: &CompiledHead| {
@@ -511,20 +489,6 @@ impl CompiledPlan {
         self.fuse
     }
 
-    /// The dot-product tier this plan scores with.
-    pub fn precision(&self) -> PlanPrecision {
-        self.precision
-    }
-
-    /// Selects the dot-product tier. The default
-    /// ([`PlanPrecision::Reproducible`]) keeps PR 6's bit-reproducibility
-    /// contract; [`PlanPrecision::Fma`] trades it for fused-rounding
-    /// throughput. Decisions agree between tiers except on near-exact logit
-    /// ties.
-    pub fn set_precision(&mut self, precision: PlanPrecision) {
-        self.precision = precision;
-    }
-
     /// The trunk over one tile: flattens the traces into `sc.flat` and
     /// writes every shot's features, shot-major, into `sc.feats`. The
     /// bank is scored by [`dot_tile`] once per run of rows sharing a span.
@@ -547,7 +511,6 @@ impl CompiledPlan {
                     .take_while(|&&s| s == span)
                     .count();
             dot_tile(
-                self.precision,
                 &self.rows[r0 * stride..r1 * stride],
                 &sc.flat,
                 stride,
@@ -604,7 +567,7 @@ impl CompiledPlan {
         }
         let mut offset = 0;
         for head in &self.heads {
-            let (out, stride, at) = head.run(lanes, n_blocks, cur, next, self.precision);
+            let (out, stride, at) = head.run(lanes, n_blocks, cur, next);
             let width = head.width();
             for s in 0..n_shots {
                 let src = &out[(s / SHOT_LANES) * stride + at + s % SHOT_LANES..];

@@ -18,13 +18,12 @@
 //!
 //! | stage | kernel | blocking | per-pair order |
 //! |---|---|---|---|
-//! | bank | [`dot_tile`] | AVX-512: 3 rows × 4 shots, one pass; AVX2: 2 rows × 3 shots, two half passes per 32-float chunk | `dot_f32` / `fma_f32` |
-//! | heads | [`dot_lanes`] | one layer over 8 shot lanes, 4 output rows at a time | `dot_f32` / `fma_f32` |
+//! | bank | [`dot_tile`] | AVX-512: 3 rows × 4 shots, one pass; AVX2: 2 rows × 3 shots, two half passes per 32-float chunk | `dot_f32` |
+//! | heads | [`dot_lanes`] | one layer over 8 shot lanes, 4 output rows at a time | `dot_f32` |
 //! | decide | scalar | per shot | argmax, joint or marginal decoding, integer heads |
 //!
 //! Both kernels keep each (row, shot) pair's reduction exactly as the
-//! single-pair dot of the plan's [`PlanPrecision`] tier performs it
-//! (32 accumulators, `(acc0+acc1)+(acc2+acc3)`, the fixed horizontal tree,
+//! single-pair [`dot_f32`] performs it (32 accumulators, `(acc0+acc1)+(acc2+acc3)`, the fixed horizontal tree,
 //! the serial remainder), so tiling moves no score by a single bit.
 //!
 //! Plans are **derived data**: every constructor (fit, load, quantise)
@@ -63,17 +62,16 @@ pub use fuse::{
     collapse_linear_heads, fold_affine_into_bank, fold_affine_into_dense, fuse, FuseReport,
 };
 pub use graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage};
-// The SIMD dot and tile kernels and the precision tiers live in `mlr_nn`
+// The SIMD dot and tile kernels live in `mlr_nn`
 // (so the network's own forward passes share them) and are re-exported
 // here, where the plan executor's callers and the property tests have
 // always found them.
 pub use mlr_nn::{
     avx512_active, dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile, dot_tile_scalar,
-    fma_active, fma_f32, fma_f32_scalar, narrow_f32, simd_active, PlanPrecision, SimdTier,
-    SHOT_LANES,
+    fma_active, narrow_f32, simd_active, tile_tier, SimdTier, SHOT_LANES,
 };
 #[cfg(target_arch = "x86_64")]
-pub use mlr_nn::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512, fma_f32_avx2};
+pub use mlr_nn::{dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512};
 
 use crate::features::FeatureExtractor;
 use mlr_nn::{IntMlp, Mlp, Standardizer};

@@ -1,7 +1,7 @@
 //! Minibatch Adam training with mean-squared-error loss.
 //!
 //! Classification heads train on cross-entropy ([`crate::TrainData`] /
-//! [`Mlp::train`]); the autoencoder baseline of `mlr-baselines` instead
+//! [`Mlp::train`]); the autoencoder baseline in `mlr-core` instead
 //! regresses its own input, which needs a vector-target dataset and an MSE
 //! backward pass. Everything else (topology, Adam, early stopping) is
 //! shared with the classifier path.

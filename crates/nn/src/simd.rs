@@ -3,7 +3,7 @@
 //! network's own forward passes run on the same arithmetic as the compiled
 //! inference plans.
 //!
-//! # The bit-reproducible tier
+//! # Bit reproducibility
 //!
 //! [`dot_f32`] dispatches at runtime (cached feature detection) between an
 //! AVX2 path and a scalar fallback that mirrors the vector code's exact
@@ -13,35 +13,20 @@
 //! (deliberately **no FMA** — an FMA's unrounded intermediate would make
 //! the two paths diverge in the last bit). The result: scalar and AVX2
 //! agree **bit-for-bit**, which the workspace's property tests pin, and a
-//! host without AVX2 serves identical decisions. The price is throughput:
-//! a single-pair dot is load-bound (two loads per multiply-accumulate),
-//! but a tile block reuses every load across pairs — a 2 × 3 block runs
-//! 24 FP ops per 10 loads — so there the second op of mul-then-add costs
-//! real time, and fusing it is what the FMA tier buys.
-//!
-//! # The FMA tier
-//!
-//! [`fma_f32`] is the opt-in higher-throughput tier: the same lane and
-//! reduction structure, but every multiply-accumulate is *fused*
-//! (`_mm256_fmadd_ps` on the vector path, [`f32::mul_add`] on the scalar
-//! mirror — one rounding per step instead of two). Fused rounding means
-//! this tier does **not** promise bit-equality with [`dot_f32`]; its
-//! contract is tolerance-level agreement (≈1e-5 relative on standardised
-//! features), which is why plans only select it through an explicit
-//! [`PlanPrecision`] knob and the default stays bit-reproducible.
+//! host without AVX2 serves identical decisions.
 //!
 //! # Tile kernels
 //!
 //! [`dot_tile`] and [`dot_lanes`] score many (row, shot) pairs per call,
-//! and every pair's result is bit-identical to the single-pair dot of the
-//! selected tier ([`dot_f32`] or [`fma_f32`]): each pair keeps its own 32
-//! accumulators, the same `(acc0+acc1)+(acc2+acc3)` lane fold, the same
-//! horizontal tree and the same serial remainder. Only which pairs share
-//! a load changes, never the association order inside a pair.
+//! and every pair's result is bit-identical to [`dot_f32`]: each pair
+//! keeps its own 32 accumulators, the same `(acc0+acc1)+(acc2+acc3)` lane
+//! fold, the same horizontal tree and the same serial remainder. Only
+//! which pairs share a load changes, never the association order inside a
+//! pair.
 //!
 //! * [`dot_tile`] scores a block of kernel rows against a block of
 //!   shots in register blocks, dispatching at runtime AVX-512 → AVX2 →
-//!   scalar ([`SimdTier`]):
+//!   scalar ([`tile_tier`]):
 //!   - **AVX-512: 3 rows × 4 shots.** A zmm holds two of a pair's ymm
 //!     accumulators: floats 0..16 of every 32-float chunk go into one
 //!     (lanes 0–7 are `acc0`, 8–15 `acc1`) and floats 16..32 into the
@@ -61,10 +46,9 @@
 //!   width-11 layer, which a single dot spends entirely in its serial
 //!   remainder, becomes vector work across shots.
 //!
-//! Both have an AVX2 path and a scalar mirror that calls the tier's
-//! scalar dot per pair, and [`dot_tile`] also has the AVX-512 path; the
-//! property tests pin all of them against [`dot_f32_scalar`] and
-//! [`fma_f32_scalar`].
+//! Both have an AVX2 path and a scalar mirror that calls
+//! [`dot_f32_scalar`] per pair, and [`dot_tile`] also has the AVX-512
+//! path; the property tests pin all of them against [`dot_f32_scalar`].
 //!
 //! # Narrowing
 //!
@@ -85,63 +69,28 @@
 
 use std::ops::Range;
 
-/// Which dot-product tier a kernel scores with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PlanPrecision {
-    /// Bit-reproducible multiply-then-add ([`dot_f32`]): AVX-512, AVX2
-    /// and scalar agree bit-for-bit across hosts. The default.
-    #[default]
-    Reproducible,
-    /// Fused multiply-add ([`fma_f32`]): faster on FMA hosts and one
-    /// rounding per step, but not bit-compatible with the reproducible
-    /// tier. Opt-in.
-    Fma,
-}
-
-impl PlanPrecision {
-    /// The tier's scalar single-pair dot, which every tile kernel of the
-    /// tier reproduces per pair.
-    fn scalar_dot(self) -> fn(&[f32], &[f32]) -> f32 {
-        match self {
-            PlanPrecision::Reproducible => dot_f32_scalar,
-            PlanPrecision::Fma => fma_f32_scalar,
-        }
-    }
-
-    /// Whether this host serves the tier's vector path.
+/// The instruction set [`dot_tile`] scores with on this host: AVX-512
+/// where available, then AVX2, then the scalar mirror.
+pub fn tile_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
-    fn vector_active(self) -> bool {
-        match self {
-            PlanPrecision::Reproducible => simd_active(),
-            PlanPrecision::Fma => fma_active(),
+    {
+        if avx512_enabled() {
+            return SimdTier::Avx512;
+        }
+        if avx2_enabled() {
+            return SimdTier::Avx2;
         }
     }
-
-    /// The instruction set [`dot_tile`] scores this tier with on this
-    /// host: AVX-512 where available (`avx512f` carries both the
-    /// multiply-then-add and the fused step), then the tier's AVX2 path,
-    /// then the scalar mirror.
-    pub fn tile_tier(self) -> SimdTier {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx512_enabled() {
-                return SimdTier::Avx512;
-            }
-            if self.vector_active() {
-                return SimdTier::Avx2;
-            }
-        }
-        SimdTier::Scalar
-    }
+    SimdTier::Scalar
 }
 
-/// The instruction set a tile kernel runs on (see
-/// [`PlanPrecision::tile_tier`]). Every tier produces the same bits.
+/// The instruction set a tile kernel runs on (see [`tile_tier`]). Every
+/// tier produces the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdTier {
     /// The scalar mirror.
     Scalar,
-    /// 256-bit AVX2 (with FMA on the fused tier).
+    /// 256-bit AVX2.
     Avx2,
     /// 512-bit AVX-512F.
     Avx512,
@@ -173,15 +122,6 @@ fn avx2_enabled() -> bool {
     *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
 }
 
-#[cfg(target_arch = "x86_64")]
-fn fma_enabled() -> bool {
-    use std::sync::OnceLock;
-    static FMA: OnceLock<bool> = OnceLock::new();
-    // The vector FMA path uses AVX2 shuffles/loads alongside fmadd, so
-    // require both (every AVX2-era x86 part ships FMA3, but check anyway).
-    *FMA.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-}
-
 /// Whether this host serves the AVX2 path (`false` means the bit-identical
 /// scalar fallback is in use).
 pub fn simd_active() -> bool {
@@ -195,12 +135,12 @@ pub fn simd_active() -> bool {
     }
 }
 
-/// Whether this host serves the vector FMA path (`false` means
-/// [`fma_f32`] falls back to its [`f32::mul_add`] scalar mirror).
+/// Whether this host has AVX2 and FMA3. A host probe only: no kernel
+/// consults it, since every kernel multiplies and adds separately.
 pub fn fma_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        fma_enabled()
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -208,8 +148,8 @@ pub fn fma_active() -> bool {
     }
 }
 
-/// Whether this host serves [`dot_tile`]'s AVX-512 path, on both tiers
-/// (`false` means AVX2 or the scalar mirror).
+/// Whether this host serves [`dot_tile`]'s AVX-512 path (`false` means
+/// AVX2 or the scalar mirror).
 pub fn avx512_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -221,7 +161,7 @@ pub fn avx512_active() -> bool {
     }
 }
 
-/// Shared tail of both mul-then-add dot paths: fixed-order horizontal
+/// Shared tail of both dot paths: fixed-order horizontal
 /// reduction of the 8 lane sums, then the (sub-32-element) remainder
 /// accumulated serially.
 #[inline]
@@ -230,18 +170,6 @@ fn finish_dot(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
     for (&x, &y) in ra.iter().zip(rb) {
         total += x * y;
-    }
-    total
-}
-
-/// Shared tail of both FMA dot paths — the same reduction tree, but the
-/// remainder keeps the fused-rounding semantics ([`f32::mul_add`]).
-#[inline]
-fn finish_fma(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
-    let mut total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    for (&x, &y) in ra.iter().zip(rb) {
-        total = x.mul_add(y, total);
     }
     total
 }
@@ -268,30 +196,6 @@ pub fn dot_f32_scalar(a: &[f32], b: &[f32]) -> f32 {
         *lane = (acc[l] + acc[8 + l]) + (acc[16 + l] + acc[24 + l]);
     }
     finish_dot(&lanes, ca.remainder(), cb.remainder())
-}
-
-/// Scalar FMA dot product mirroring [`fma_f32_avx2`]'s lane structure with
-/// the same fused-rounding semantics: 32 accumulators updated via
-/// [`f32::mul_add`] (one rounding per step), reduced pairwise.
-///
-/// # Panics
-///
-/// Panics in debug builds if the slices' lengths differ.
-pub fn fma_f32_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 32];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for ((acc, &x), &y) in acc.iter_mut().zip(xa).zip(xb) {
-            *acc = x.mul_add(y, *acc);
-        }
-    }
-    let mut lanes = [0.0f32; 8];
-    for (l, lane) in lanes.iter_mut().enumerate() {
-        *lane = (acc[l] + acc[8 + l]) + (acc[16 + l] + acc[24 + l]);
-    }
-    finish_fma(&lanes, ca.remainder(), cb.remainder())
 }
 
 /// # Safety
@@ -336,44 +240,6 @@ unsafe fn dot_f32_avx2_impl(a: &[f32], b: &[f32]) -> f32 {
     finish_dot(&lanes, &a[i..], &b[i..])
 }
 
-/// # Safety
-///
-/// Caller must ensure AVX2 + FMA are available and `a.len() == b.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fma_f32_avx2_impl(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-    let n = a.len();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut acc2 = _mm256_setzero_ps();
-    let mut acc3 = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 32 <= n {
-        let pa = a.as_ptr().add(i);
-        let pb = b.as_ptr().add(i);
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa), _mm256_loadu_ps(pb), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(8)), _mm256_loadu_ps(pb.add(8)), acc1);
-        acc2 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(16)),
-            _mm256_loadu_ps(pb.add(16)),
-            acc2,
-        );
-        acc3 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(24)),
-            _mm256_loadu_ps(pb.add(24)),
-            acc3,
-        );
-        i += 32;
-    }
-    let s = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), s);
-    finish_fma(&lanes, &a[i..], &b[i..])
-}
-
 /// The AVX2 dot product (safe wrapper) — exposed for the scalar-vs-AVX2
 /// bit-agreement tests.
 ///
@@ -387,22 +253,6 @@ pub fn dot_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
     assert!(avx2_enabled(), "AVX2 unavailable on this host");
     // SAFETY: availability checked above; equal lengths asserted.
     unsafe { dot_f32_avx2_impl(a, b) }
-}
-
-/// The vector FMA dot product (safe wrapper) — exposed for the FMA-tier
-/// scalar-vs-vector agreement tests.
-///
-/// # Panics
-///
-/// Panics if AVX2 + FMA are not available on this host (check
-/// [`fma_active`] first) or, in debug builds, if the slices' lengths
-/// differ.
-#[cfg(target_arch = "x86_64")]
-pub fn fma_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    assert!(fma_enabled(), "AVX2+FMA unavailable on this host");
-    // SAFETY: availability checked above; equal lengths asserted.
-    unsafe { fma_f32_avx2_impl(a, b) }
 }
 
 /// Contiguous `f32` dot product with runtime SIMD dispatch — every score
@@ -424,27 +274,6 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         }
     }
     dot_f32_scalar(a, b)
-}
-
-/// Contiguous `f32` dot product on the fused-rounding (FMA) tier, with
-/// runtime dispatch between `_mm256_fmadd_ps` and the [`f32::mul_add`]
-/// scalar mirror. Not bit-compatible with [`dot_f32`] — see the module
-/// docs for the tier contract.
-///
-/// # Panics
-///
-/// Panics in debug builds if the slices' lengths differ.
-#[inline]
-pub fn fma_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fma_enabled() {
-            // SAFETY: availability checked at runtime.
-            return unsafe { fma_f32_avx2_impl(a, b) };
-        }
-    }
-    fma_f32_scalar(a, b)
 }
 
 /// Shots per lane block of [`dot_lanes`]: one AVX2 vector of `f32`.
@@ -496,15 +325,14 @@ fn lanes_shape(w: &[f32], n_in: usize, x: &[f32], out: &[f32]) -> usize {
 /// `out[s * out_stride + r] = dot(&shot_s[span], &row_r[span])`, where
 /// row `r` is `rows[r * stride..][..stride]` and shot `s` is
 /// `shots[s * stride..][..stride]`. Each result is bit-identical to the
-/// tier's single-pair dot ([`dot_f32`] or [`fma_f32`]) on the same
-/// slices; see the module docs for the register blocking.
+/// [`dot_f32`] on the same slices; see the module docs for the register
+/// blocking.
 ///
 /// # Panics
 ///
 /// Panics if `stride` is zero, either block is not a whole number of
 /// strides, `span` leaves the stride, or `out` cannot hold the result.
 pub fn dot_tile(
-    precision: PlanPrecision,
     rows: &[f32],
     shots: &[f32],
     stride: usize,
@@ -512,22 +340,21 @@ pub fn dot_tile(
     out: &mut [f32],
     out_stride: usize,
 ) {
-    match precision.tile_tier() {
+    match tile_tier() {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => dot_tile_avx512(precision, rows, shots, stride, span, out, out_stride),
+        SimdTier::Avx512 => dot_tile_avx512(rows, shots, stride, span, out, out_stride),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => dot_tile_avx2(precision, rows, shots, stride, span, out, out_stride),
-        _ => dot_tile_scalar(precision, rows, shots, stride, span, out, out_stride),
+        SimdTier::Avx2 => dot_tile_avx2(rows, shots, stride, span, out, out_stride),
+        _ => dot_tile_scalar(rows, shots, stride, span, out, out_stride),
     }
 }
 
-/// [`dot_tile`]'s scalar mirror: the tier's scalar dot per pair.
+/// [`dot_tile`]'s scalar mirror: [`dot_f32_scalar`] per pair.
 ///
 /// # Panics
 ///
 /// As [`dot_tile`].
 pub fn dot_tile_scalar(
-    precision: PlanPrecision,
     rows: &[f32],
     shots: &[f32],
     stride: usize,
@@ -536,10 +363,9 @@ pub fn dot_tile_scalar(
     out_stride: usize,
 ) {
     tile_shape(rows, shots, stride, &span, out, out_stride);
-    let dot = precision.scalar_dot();
     for (r, row) in rows.chunks_exact(stride).enumerate() {
         for (s, shot) in shots.chunks_exact(stride).enumerate() {
-            out[s * out_stride + r] = dot(&shot[span.clone()], &row[span.clone()]);
+            out[s * out_stride + r] = dot_f32_scalar(&shot[span.clone()], &row[span.clone()]);
         }
     }
 }
@@ -549,11 +375,10 @@ pub fn dot_tile_scalar(
 ///
 /// # Panics
 ///
-/// Panics if the tier's vector path is unavailable on this host (see
-/// [`simd_active`] and [`fma_active`]), and as [`dot_tile`].
+/// Panics if AVX2 is unavailable on this host (see [`simd_active`]), and
+/// as [`dot_tile`].
 #[cfg(target_arch = "x86_64")]
 pub fn dot_tile_avx2(
-    precision: PlanPrecision,
     rows: &[f32],
     shots: &[f32],
     stride: usize,
@@ -561,10 +386,7 @@ pub fn dot_tile_avx2(
     out: &mut [f32],
     out_stride: usize,
 ) {
-    assert!(
-        precision.vector_active(),
-        "{precision:?} vector path unavailable"
-    );
+    assert!(avx2_enabled(), "AVX2 unavailable on this host");
     let (n_rows, n_shots) = tile_shape(rows, shots, stride, &span, out, out_stride);
     let row = |r: usize| &rows[r * stride..][span.clone()];
     let shot = |s: usize| &shots[s * stride..][span.clone()];
@@ -575,16 +397,16 @@ pub fn dot_tile_avx2(
         while r < n_rows {
             let rb = (n_rows - r).min(2);
             let at = &mut out[s * out_stride + r..];
-            // SAFETY: the tier's vector path was checked above, and every
-            // row and shot slice has the span's length.
+            // SAFETY: AVX2 was checked above, and every row and shot slice
+            // has the span's length.
             unsafe {
                 match (rb, sb) {
-                    (2, 3) => avx2::block::<2, 3>(precision, row, shot, r, s, at, out_stride),
-                    (2, 2) => avx2::block::<2, 2>(precision, row, shot, r, s, at, out_stride),
-                    (2, _) => avx2::block::<2, 1>(precision, row, shot, r, s, at, out_stride),
-                    (_, 3) => avx2::block::<1, 3>(precision, row, shot, r, s, at, out_stride),
-                    (_, 2) => avx2::block::<1, 2>(precision, row, shot, r, s, at, out_stride),
-                    _ => avx2::block::<1, 1>(precision, row, shot, r, s, at, out_stride),
+                    (2, 3) => avx2::block::<2, 3>(row, shot, r, s, at, out_stride),
+                    (2, 2) => avx2::block::<2, 2>(row, shot, r, s, at, out_stride),
+                    (2, _) => avx2::block::<2, 1>(row, shot, r, s, at, out_stride),
+                    (_, 3) => avx2::block::<1, 3>(row, shot, r, s, at, out_stride),
+                    (_, 2) => avx2::block::<1, 2>(row, shot, r, s, at, out_stride),
+                    _ => avx2::block::<1, 1>(row, shot, r, s, at, out_stride),
                 }
             }
             r += rb;
@@ -602,7 +424,6 @@ pub fn dot_tile_avx2(
 /// [`avx512_active`]), and as [`dot_tile`].
 #[cfg(target_arch = "x86_64")]
 pub fn dot_tile_avx512(
-    precision: PlanPrecision,
     rows: &[f32],
     shots: &[f32],
     stride: usize,
@@ -625,18 +446,18 @@ pub fn dot_tile_avx512(
             // slice has the span's length.
             unsafe {
                 match (rb, sb) {
-                    (3, 4) => avx512::block::<3, 4>(precision, row, shot, r, s, at, out_stride),
-                    (3, 3) => avx512::block::<3, 3>(precision, row, shot, r, s, at, out_stride),
-                    (3, 2) => avx512::block::<3, 2>(precision, row, shot, r, s, at, out_stride),
-                    (3, _) => avx512::block::<3, 1>(precision, row, shot, r, s, at, out_stride),
-                    (2, 4) => avx512::block::<2, 4>(precision, row, shot, r, s, at, out_stride),
-                    (2, 3) => avx512::block::<2, 3>(precision, row, shot, r, s, at, out_stride),
-                    (2, 2) => avx512::block::<2, 2>(precision, row, shot, r, s, at, out_stride),
-                    (2, _) => avx512::block::<2, 1>(precision, row, shot, r, s, at, out_stride),
-                    (_, 4) => avx512::block::<1, 4>(precision, row, shot, r, s, at, out_stride),
-                    (_, 3) => avx512::block::<1, 3>(precision, row, shot, r, s, at, out_stride),
-                    (_, 2) => avx512::block::<1, 2>(precision, row, shot, r, s, at, out_stride),
-                    (_, _) => avx512::block::<1, 1>(precision, row, shot, r, s, at, out_stride),
+                    (3, 4) => avx512::block::<3, 4>(row, shot, r, s, at, out_stride),
+                    (3, 3) => avx512::block::<3, 3>(row, shot, r, s, at, out_stride),
+                    (3, 2) => avx512::block::<3, 2>(row, shot, r, s, at, out_stride),
+                    (3, _) => avx512::block::<3, 1>(row, shot, r, s, at, out_stride),
+                    (2, 4) => avx512::block::<2, 4>(row, shot, r, s, at, out_stride),
+                    (2, 3) => avx512::block::<2, 3>(row, shot, r, s, at, out_stride),
+                    (2, 2) => avx512::block::<2, 2>(row, shot, r, s, at, out_stride),
+                    (2, _) => avx512::block::<2, 1>(row, shot, r, s, at, out_stride),
+                    (_, 4) => avx512::block::<1, 4>(row, shot, r, s, at, out_stride),
+                    (_, 3) => avx512::block::<1, 3>(row, shot, r, s, at, out_stride),
+                    (_, 2) => avx512::block::<1, 2>(row, shot, r, s, at, out_stride),
+                    (_, _) => avx512::block::<1, 1>(row, shot, r, s, at, out_stride),
                 }
             }
             r += rb;
@@ -856,43 +677,36 @@ mod cmul {
 /// lane-major: with `n_out = out.len() / SHOT_LANES`,
 /// `out[o * SHOT_LANES + l] = dot(&w[o * n_in..][..n_in], column l of x)`
 /// where column `l` is `x[k * SHOT_LANES + l]` for `k < n_in`. Each result
-/// is bit-identical to the tier's single-pair dot ([`dot_f32`] or
-/// [`fma_f32`]) of the weight row against that shot's activations.
+/// is bit-identical to [`dot_f32`] of the weight row against that shot's
+/// activations.
 ///
 /// # Panics
 ///
 /// Panics unless `out` holds whole lane rows, `w` is `n_out × n_in` and
 /// `x` is `n_in × SHOT_LANES`.
-pub fn dot_lanes(precision: PlanPrecision, w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+pub fn dot_lanes(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
-    if precision.vector_active() {
-        return dot_lanes_avx2(precision, w, n_in, x, out);
+    if avx2_enabled() {
+        return dot_lanes_avx2(w, n_in, x, out);
     }
-    dot_lanes_scalar(precision, w, n_in, x, out);
+    dot_lanes_scalar(w, n_in, x, out);
 }
 
 /// [`dot_lanes`]'s scalar mirror: gathers each shot's column and runs
-/// the tier's scalar dot per (row, shot) pair.
+/// [`dot_f32_scalar`] per (row, shot) pair.
 ///
 /// # Panics
 ///
 /// As [`dot_lanes`].
-pub fn dot_lanes_scalar(
-    precision: PlanPrecision,
-    w: &[f32],
-    n_in: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
+pub fn dot_lanes_scalar(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
     let n_out = lanes_shape(w, n_in, x, out);
-    let dot = precision.scalar_dot();
     let mut column = vec![0.0f32; n_in];
     for lane in 0..SHOT_LANES {
         for (k, c) in column.iter_mut().enumerate() {
             *c = x[k * SHOT_LANES + lane];
         }
         for o in 0..n_out {
-            out[o * SHOT_LANES + lane] = dot(&w[o * n_in..][..n_in], &column);
+            out[o * SHOT_LANES + lane] = dot_f32_scalar(&w[o * n_in..][..n_in], &column);
         }
     }
 }
@@ -901,93 +715,39 @@ pub fn dot_lanes_scalar(
 ///
 /// # Panics
 ///
-/// Panics if the tier's vector path is unavailable on this host (see
-/// [`simd_active`] and [`fma_active`]), and as [`dot_lanes`].
+/// Panics if AVX2 is unavailable on this host (see [`simd_active`]), and
+/// as [`dot_lanes`].
 #[cfg(target_arch = "x86_64")]
-pub fn dot_lanes_avx2(
-    precision: PlanPrecision,
-    w: &[f32],
-    n_in: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    assert!(
-        precision.vector_active(),
-        "{precision:?} vector path unavailable"
-    );
+pub fn dot_lanes_avx2(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+    assert!(avx2_enabled(), "AVX2 unavailable on this host");
     lanes_shape(w, n_in, x, out);
-    // SAFETY: the tier's vector path was checked above, and the shapes
-    // the kernel indexes by were checked by `lanes_shape`.
-    unsafe {
-        match precision {
-            PlanPrecision::Reproducible => avx2::lanes_muladd(w, n_in, x, out),
-            PlanPrecision::Fma => avx2::lanes_fused(w, n_in, x, out),
-        }
-    }
+    // SAFETY: AVX2 was checked above, and the shapes the kernel indexes by
+    // were checked by `lanes_shape`.
+    unsafe { avx2::lanes(w, n_in, x, out) }
 }
 
-/// The AVX2 tile kernels, generic over the tier's multiply-accumulate.
-/// The generic bodies are `#[inline(always)]` so they, and the
-/// intrinsics they call, compile inside the `target_feature` entry
-/// points at the bottom.
+/// The AVX2 tile kernels. Every step is a separate multiply, then add.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
-    use super::{finish_dot, finish_fma, PlanPrecision, SHOT_LANES};
-
-    /// One tier's multiply-accumulate: the vector step and the scalar
-    /// tail shared with the single-pair dot.
-    pub(super) trait Mac {
-        /// `acc + a·b` with the tier's rounding.
-        ///
-        /// # Safety
-        ///
-        /// The tier's CPU features must be available.
-        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256;
-        /// Horizontal tree plus serial remainder, as the single-pair dot.
-        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32;
-    }
-
-    /// The reproducible tier: separate multiply, then add.
-    pub(super) struct MulAdd;
-    /// The FMA tier: one fused rounding per step.
-    pub(super) struct Fused;
-
-    impl Mac for MulAdd {
-        #[inline(always)]
-        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256 {
-            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-        }
-        #[inline(always)]
-        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
-            finish_dot(lanes, ra, rb)
-        }
-    }
-
-    impl Mac for Fused {
-        #[inline(always)]
-        unsafe fn mac(acc: __m256, a: __m256, b: __m256) -> __m256 {
-            _mm256_fmadd_ps(a, b, acc)
-        }
-        #[inline(always)]
-        fn finish(lanes: &[f32; 8], ra: &[f32], rb: &[f32]) -> f32 {
-            finish_fma(lanes, ra, rb)
-        }
-    }
+    use super::{finish_dot, SHOT_LANES};
 
     /// One `R`-row × `S`-shot register block, written to
-    /// `out[s * out_stride + r]` for the block's local `r`, `s`.
+    /// `out[s * out_stride + r]` for the block's local `r`, `s`. Inlined
+    /// into [`block`] so its intrinsics compile with AVX2 enabled, while
+    /// its closures, defined outside any `target_feature` function, still
+    /// inline into `std::array::from_fn`.
     ///
     /// # Safety
     ///
-    /// The tier's CPU features must be available, and every slice
-    /// `row(r0 + i)` / `shot(s0 + j)` must have the same length.
+    /// AVX2 must be available, and every slice `row(r0 + i)` /
+    /// `shot(s0 + j)` must have the same length.
     #[inline(always)]
-    unsafe fn block_in<'a, M: Mac, const R: usize, const S: usize>(
+    unsafe fn block_in<'a, const R: usize, const S: usize>(
         row: impl Fn(usize) -> &'a [f32],
         shot: impl Fn(usize) -> &'a [f32],
         r0: usize,
@@ -1014,8 +774,9 @@ mod avx2 {
                     let (k0, k1) = (_mm256_loadu_ps(kp), _mm256_loadu_ps(kp.add(8)));
                     for s in 0..S {
                         let xp = x[s].as_ptr().add(i);
-                        lo[r][s] = M::mac(lo[r][s], _mm256_loadu_ps(xp), k0);
-                        hi[r][s] = M::mac(hi[r][s], _mm256_loadu_ps(xp.add(8)), k1);
+                        lo[r][s] = _mm256_add_ps(lo[r][s], _mm256_mul_ps(_mm256_loadu_ps(xp), k0));
+                        hi[r][s] =
+                            _mm256_add_ps(hi[r][s], _mm256_mul_ps(_mm256_loadu_ps(xp.add(8)), k1));
                     }
                 }
                 i += 32;
@@ -1035,20 +796,38 @@ mod avx2 {
             for s in 0..S {
                 let mut lanes = [0.0f32; 8];
                 _mm256_storeu_ps(lanes.as_mut_ptr(), sums[r][s]);
-                out[s * out_stride + r] = M::finish(&lanes, &x[s][full..], &k[r][full..]);
+                out[s * out_stride + r] = finish_dot(&lanes, &x[s][full..], &k[r][full..]);
             }
         }
     }
 
-    /// `R` output rows of a lane layer, starting at row `o`.
+    /// One register block.
     ///
     /// # Safety
     ///
-    /// The tier's CPU features must be available, `w` must hold rows
-    /// `o..o + R` of width `n_in`, `x` must be `n_in × SHOT_LANES` and
-    /// `out` must hold rows `o..o + R` of `SHOT_LANES`.
+    /// AVX2 must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block<'a, const R: usize, const S: usize>(
+        row: impl Fn(usize) -> &'a [f32],
+        shot: impl Fn(usize) -> &'a [f32],
+        r0: usize,
+        s0: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        block_in::<R, S>(row, shot, r0, s0, out, out_stride)
+    }
+
+    /// `R` output rows of a lane layer, starting at row `o`. Inlined into
+    /// [`lanes`], so its intrinsics compile with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `w` must hold rows `o..o + R` of width
+    /// `n_in`, `x` must be `n_in × SHOT_LANES` and `out` must hold rows
+    /// `o..o + R` of `SHOT_LANES`.
     #[inline(always)]
-    unsafe fn lane_rows<M: Mac, const R: usize>(
+    unsafe fn lane_rows<const R: usize>(
         w: &[f32],
         n_in: usize,
         o: usize,
@@ -1072,7 +851,7 @@ mod avx2 {
                         for (q, a) in acc.iter_mut().enumerate() {
                             let k = c + 8 * q + l;
                             let xk = _mm256_loadu_ps(xp.add(k * SHOT_LANES));
-                            *a = M::mac(*a, xk, _mm256_set1_ps(*wr.add(k)));
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(xk, _mm256_set1_ps(*wr.add(k))));
                         }
                         c += 32;
                     }
@@ -1096,7 +875,7 @@ mod avx2 {
         for k in full..n_in {
             let xk = _mm256_loadu_ps(xp.add(k * SHOT_LANES));
             for (r, t) in total.iter_mut().enumerate() {
-                *t = M::mac(*t, xk, _mm256_set1_ps(*wp.add(r * n_in + k)));
+                *t = _mm256_add_ps(*t, _mm256_mul_ps(xk, _mm256_set1_ps(*wp.add(r * n_in + k))));
             }
         }
         let op = out.as_mut_ptr().add(o * SHOT_LANES);
@@ -1110,126 +889,32 @@ mod avx2 {
     /// # Safety
     ///
     /// As [`lane_rows`], for every row below `out.len() / SHOT_LANES`.
-    #[inline(always)]
-    unsafe fn lanes<M: Mac>(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lanes(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
         let n_out = out.len() / SHOT_LANES;
         let mut o = 0;
         while o + 4 <= n_out {
-            lane_rows::<M, 4>(w, n_in, o, x, out);
+            lane_rows::<4>(w, n_in, o, x, out);
             o += 4;
         }
         while o < n_out {
-            lane_rows::<M, 1>(w, n_in, o, x, out);
+            lane_rows::<1>(w, n_in, o, x, out);
             o += 1;
         }
     }
-
-    /// One register block on `precision`'s tier.
-    ///
-    /// # Safety
-    ///
-    /// The tier's vector path must be available; as [`block_in`]
-    /// otherwise.
-    pub(super) unsafe fn block<'a, const R: usize, const S: usize>(
-        precision: PlanPrecision,
-        row: impl Fn(usize) -> &'a [f32],
-        shot: impl Fn(usize) -> &'a [f32],
-        r0: usize,
-        s0: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        match precision {
-            PlanPrecision::Reproducible => block_muladd::<R, S>(row, shot, r0, s0, out, out_stride),
-            PlanPrecision::Fma => block_fused::<R, S>(row, shot, r0, s0, out, out_stride),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 must be available; as [`block_in`] otherwise.
-    #[target_feature(enable = "avx2")]
-    unsafe fn block_muladd<'a, const R: usize, const S: usize>(
-        row: impl Fn(usize) -> &'a [f32],
-        shot: impl Fn(usize) -> &'a [f32],
-        r0: usize,
-        s0: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        block_in::<MulAdd, R, S>(row, shot, r0, s0, out, out_stride)
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 and FMA must be available; as [`block_in`] otherwise.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn block_fused<'a, const R: usize, const S: usize>(
-        row: impl Fn(usize) -> &'a [f32],
-        shot: impl Fn(usize) -> &'a [f32],
-        r0: usize,
-        s0: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        block_in::<Fused, R, S>(row, shot, r0, s0, out, out_stride)
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 must be available; as [`lanes`] otherwise.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lanes_muladd(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
-        lanes::<MulAdd>(w, n_in, x, out)
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 and FMA must be available; as [`lanes`] otherwise.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn lanes_fused(w: &[f32], n_in: usize, x: &[f32], out: &mut [f32]) {
-        lanes::<Fused>(w, n_in, x, out)
-    }
 }
 
-/// The AVX-512 tile kernels, on the AVX2 module's [`avx2::Mac`] tiers:
-/// each adds its 512-bit step, and the finish stays the shared scalar
-/// tail. Generic bodies are `#[inline(always)]` into the
-/// `target_feature` entry points, as in [`avx2`].
+/// The AVX-512 tile kernel: the AVX2 block's multiply-then-add, 512 bits
+/// at a time, with the finish on the shared scalar tail.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::{
         __m256, __m512, _mm256_add_ps, _mm256_castpd_ps, _mm256_storeu_ps, _mm512_add_ps,
-        _mm512_castpd512_pd256, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps,
-        _mm512_loadu_ps, _mm512_mul_ps, _mm512_setzero_ps,
+        _mm512_castpd512_pd256, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_loadu_ps,
+        _mm512_mul_ps, _mm512_setzero_ps,
     };
 
-    use super::avx2::{Fused, Mac, MulAdd};
-    use super::PlanPrecision;
-
-    /// A tier's 512-bit multiply-accumulate, lane-for-lane the AVX2 step.
-    trait Mac512: Mac {
-        /// `acc + a·b` with the tier's rounding.
-        ///
-        /// # Safety
-        ///
-        /// AVX-512F must be available.
-        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512;
-    }
-
-    impl Mac512 for MulAdd {
-        #[inline(always)]
-        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512 {
-            _mm512_add_ps(acc, _mm512_mul_ps(a, b))
-        }
-    }
-
-    impl Mac512 for Fused {
-        #[inline(always)]
-        unsafe fn mac512(acc: __m512, a: __m512, b: __m512) -> __m512 {
-            _mm512_fmadd_ps(a, b, acc)
-        }
-    }
+    use super::finish_dot;
 
     /// Lanes 0–7 plus lanes 8–15 of `v`.
     ///
@@ -1246,14 +931,15 @@ mod avx512 {
     }
 
     /// One `R`-row × `S`-shot register block, written to
-    /// `out[s * out_stride + r]` for the block's local `r`, `s`.
+    /// `out[s * out_stride + r]` for the block's local `r`, `s`. Inlined
+    /// into [`block`], as in [`super::avx2`].
     ///
     /// # Safety
     ///
     /// AVX-512F must be available, and every slice `row(r0 + i)` /
     /// `shot(s0 + j)` must have the same length.
     #[inline(always)]
-    unsafe fn block_in<'a, M: Mac512, const R: usize, const S: usize>(
+    unsafe fn block_in<'a, const R: usize, const S: usize>(
         row: impl Fn(usize) -> &'a [f32],
         shot: impl Fn(usize) -> &'a [f32],
         r0: usize,
@@ -1277,8 +963,9 @@ mod avx512 {
                 let (k0, k1) = (_mm512_loadu_ps(kp), _mm512_loadu_ps(kp.add(16)));
                 for s in 0..S {
                     let xp = x[s].as_ptr().add(i);
-                    lo[r][s] = M::mac512(lo[r][s], _mm512_loadu_ps(xp), k0);
-                    hi[r][s] = M::mac512(hi[r][s], _mm512_loadu_ps(xp.add(16)), k1);
+                    lo[r][s] = _mm512_add_ps(lo[r][s], _mm512_mul_ps(_mm512_loadu_ps(xp), k0));
+                    hi[r][s] =
+                        _mm512_add_ps(hi[r][s], _mm512_mul_ps(_mm512_loadu_ps(xp.add(16)), k1));
                 }
             }
             i += 32;
@@ -1288,18 +975,18 @@ mod avx512 {
                 let sum = _mm256_add_ps(fold_halves(lo[r][s]), fold_halves(hi[r][s]));
                 let mut lanes = [0.0f32; 8];
                 _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-                out[s * out_stride + r] = M::finish(&lanes, &x[s][full..], &k[r][full..]);
+                out[s * out_stride + r] = finish_dot(&lanes, &x[s][full..], &k[r][full..]);
             }
         }
     }
 
-    /// One register block on `precision`'s tier.
+    /// One register block.
     ///
     /// # Safety
     ///
     /// AVX-512F must be available; as [`block_in`] otherwise.
+    #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn block<'a, const R: usize, const S: usize>(
-        precision: PlanPrecision,
         row: impl Fn(usize) -> &'a [f32],
         shot: impl Fn(usize) -> &'a [f32],
         r0: usize,
@@ -1307,40 +994,7 @@ mod avx512 {
         out: &mut [f32],
         out_stride: usize,
     ) {
-        match precision {
-            PlanPrecision::Reproducible => block_muladd::<R, S>(row, shot, r0, s0, out, out_stride),
-            PlanPrecision::Fma => block_fused::<R, S>(row, shot, r0, s0, out, out_stride),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// AVX-512F must be available; as [`block_in`] otherwise.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn block_muladd<'a, const R: usize, const S: usize>(
-        row: impl Fn(usize) -> &'a [f32],
-        shot: impl Fn(usize) -> &'a [f32],
-        r0: usize,
-        s0: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        block_in::<MulAdd, R, S>(row, shot, r0, s0, out, out_stride)
-    }
-
-    /// # Safety
-    ///
-    /// AVX-512F must be available; as [`block_in`] otherwise.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn block_fused<'a, const R: usize, const S: usize>(
-        row: impl Fn(usize) -> &'a [f32],
-        shot: impl Fn(usize) -> &'a [f32],
-        r0: usize,
-        s0: usize,
-        out: &mut [f32],
-        out_stride: usize,
-    ) {
-        block_in::<Fused, R, S>(row, shot, r0, s0, out, out_stride)
+        block_in::<R, S>(row, shot, r0, s0, out, out_stride)
     }
 }
 
@@ -1375,15 +1029,15 @@ mod tests {
         }
     }
 
-    type TileFn = fn(PlanPrecision, &[f32], &[f32], usize, Range<usize>, &mut [f32], usize);
+    type TileFn = fn(&[f32], &[f32], usize, Range<usize>, &mut [f32], usize);
 
-    /// Every bank kernel this host can run on `precision`'s tier.
-    fn bank_kernels(precision: PlanPrecision) -> Vec<(&'static str, TileFn)> {
+    /// Every bank kernel this host can run.
+    fn bank_kernels() -> Vec<(&'static str, TileFn)> {
         let mut kernels: Vec<(&'static str, TileFn)> =
             vec![("dispatch", dot_tile), ("scalar", dot_tile_scalar)];
         #[cfg(target_arch = "x86_64")]
         {
-            if precision.vector_active() {
+            if simd_active() {
                 kernels.push(("avx2", dot_tile_avx2));
             }
             if avx512_active() {
@@ -1394,38 +1048,23 @@ mod tests {
     }
 
     /// Scores every (row, shot) pair on `span` with each bank kernel and
-    /// checks it against the tier's scalar single-pair dot, to the bit
-    /// (any NaN matches any NaN).
-    fn check_bank(
-        precision: PlanPrecision,
-        rows: &[f32],
-        shots: &[f32],
-        stride: usize,
-        span: Range<usize>,
-    ) {
-        let dot = precision.scalar_dot();
+    /// checks it against the scalar single-pair dot, to the bit (any NaN
+    /// matches any NaN).
+    fn check_bank(rows: &[f32], shots: &[f32], stride: usize, span: Range<usize>) {
         let (n_rows, n_shots) = (rows.len() / stride, shots.len() / stride);
-        for (name, kernel) in bank_kernels(precision) {
+        for (name, kernel) in bank_kernels() {
             let mut out = vec![f32::INFINITY; n_rows * n_shots];
-            kernel(
-                precision,
-                rows,
-                shots,
-                stride,
-                span.clone(),
-                &mut out,
-                n_rows,
-            );
+            kernel(rows, shots, stride, span.clone(), &mut out, n_rows);
             for r in 0..n_rows {
                 for s in 0..n_shots {
                     let got = out[s * n_rows + r];
-                    let want = dot(
+                    let want = dot_f32_scalar(
                         &shots[s * stride..][span.clone()],
                         &rows[r * stride..][span.clone()],
                     );
                     assert!(
                         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "{name} {precision:?} {n_rows}x{n_shots} {span:?} ({r}, {s})"
+                        "{name} {n_rows}x{n_shots} {span:?} ({r}, {s})"
                     );
                 }
             }
@@ -1434,55 +1073,52 @@ mod tests {
 
     #[test]
     fn tile_kernels_agree_bitwise_with_the_single_pair_dot() {
-        for precision in [PlanPrecision::Reproducible, PlanPrecision::Fma] {
-            let dot = precision.scalar_dot();
-            for (n, n_rows, n_shots) in [(0, 2, 3), (22, 17, 1), (45, 5, 7), (1000, 3, 4)] {
-                // One padding float per stride, so the span is banded.
-                let stride = n + 1;
-                let (rows, shots) = vecs(n_rows.max(n_shots) * stride);
-                let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
-                check_bank(precision, rows, shots, stride, 0..n);
+        for (n, n_rows, n_shots) in [(0, 2, 3), (22, 17, 1), (45, 5, 7), (1000, 3, 4)] {
+            // One padding float per stride, so the span is banded.
+            let stride = n + 1;
+            let (rows, shots) = vecs(n_rows.max(n_shots) * stride);
+            let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
+            check_bank(rows, shots, stride, 0..n);
 
-                let w = &rows[..n_rows * n];
-                let (x, _) = vecs(n * SHOT_LANES);
-                let mut out = vec![0.0f32; n_rows * SHOT_LANES];
-                dot_lanes(precision, w, n, &x, &mut out);
-                for lane in 0..SHOT_LANES {
-                    let column: Vec<f32> = (0..n).map(|k| x[k * SHOT_LANES + lane]).collect();
-                    for o in 0..n_rows {
-                        let want = dot(&w[o * n..][..n], &column);
-                        assert_eq!(
-                            out[o * SHOT_LANES + lane].to_bits(),
-                            want.to_bits(),
-                            "{n} ({o}, {lane})"
-                        );
-                    }
+            let w = &rows[..n_rows * n];
+            let (x, _) = vecs(n * SHOT_LANES);
+            let mut out = vec![0.0f32; n_rows * SHOT_LANES];
+            dot_lanes(w, n, &x, &mut out);
+            for lane in 0..SHOT_LANES {
+                let column: Vec<f32> = (0..n).map(|k| x[k * SHOT_LANES + lane]).collect();
+                for o in 0..n_rows {
+                    let want = dot_f32_scalar(&w[o * n..][..n], &column);
+                    assert_eq!(
+                        out[o * SHOT_LANES + lane].to_bits(),
+                        want.to_bits(),
+                        "{n} ({o}, {lane})"
+                    );
                 }
             }
+        }
 
-            // Every ragged block shape up to 17 × 17, on a banded span (a
-            // 32-float chunk plus a remainder, one float of padding either
-            // side) with NaN, signed-zero and ReLU'd inputs.
-            let special = |v: Vec<f32>| -> Vec<f32> {
-                v.into_iter()
-                    .enumerate()
-                    .map(|(i, x)| match (i % 97, i % 7) {
-                        (0, _) => f32::NAN,
-                        (_, 1) => -0.0,
-                        (_, 2) => 0.0,
-                        (_, 3) => x.max(0.0),
-                        _ => x,
-                    })
-                    .collect()
-            };
-            let stride = 35;
-            let (rows, shots) = vecs(17 * stride);
-            let (rows, shots) = (special(rows), special(shots));
-            for n_rows in 1..=17 {
-                for n_shots in 1..=17 {
-                    let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
-                    check_bank(precision, rows, shots, stride, 1..stride - 1);
-                }
+        // Every ragged block shape up to 17 × 17, on a banded span (a
+        // 32-float chunk plus a remainder, one float of padding either
+        // side) with NaN, signed-zero and ReLU'd inputs.
+        let special = |v: Vec<f32>| -> Vec<f32> {
+            v.into_iter()
+                .enumerate()
+                .map(|(i, x)| match (i % 97, i % 7) {
+                    (0, _) => f32::NAN,
+                    (_, 1) => -0.0,
+                    (_, 2) => 0.0,
+                    (_, 3) => x.max(0.0),
+                    _ => x,
+                })
+                .collect()
+        };
+        let stride = 35;
+        let (rows, shots) = vecs(17 * stride);
+        let (rows, shots) = (special(rows), special(shots));
+        for n_rows in 1..=17 {
+            for n_shots in 1..=17 {
+                let (rows, shots) = (&rows[..n_rows * stride], &shots[..n_shots * stride]);
+                check_bank(rows, shots, stride, 1..stride - 1);
             }
         }
     }
@@ -1549,23 +1185,5 @@ mod tests {
     #[should_panic(expected = "whole tone pairs")]
     fn cmul_sum_rejects_a_half_pair() {
         cmul_sum_f64(&[0.0; 8], 4, &[1.0, 0.0], &mut [0.0; 2]);
-    }
-
-    #[test]
-    fn fma_tier_agrees_with_reproducible_tier_within_tolerance() {
-        for n in [1, 31, 32, 33, 120, 1000] {
-            let (a, b) = vecs(n);
-            let base = dot_f32(&a, &b) as f64;
-            let fused = fma_f32(&a, &b) as f64;
-            let norm: f64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| (x as f64 * y as f64).abs())
-                .sum();
-            assert!(
-                (base - fused).abs() <= 1e-5 * (1.0 + norm),
-                "length {n}: {base} vs {fused}"
-            );
-        }
     }
 }

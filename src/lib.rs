@@ -43,10 +43,6 @@ pub use mlr_linalg as linalg;
 /// Complex numbers and running statistics.
 pub use mlr_num as num;
 
-/// Baseline discriminators: FNN, HERQULES, LDA, QDA, Gaussian HMM,
-/// autoencoder.
-pub use mlr_baselines as baselines;
-
 /// FPGA resource estimation and 45 nm power modelling.
 pub use mlr_fpga as fpga;
 

@@ -1,11 +1,10 @@
 //! Integration tests comparing all four discriminator families on one
 //! shared dataset through the common `Discriminator` trait.
 
-use mlr_baselines::{
-    DiscriminantAnalysis, DiscriminantKind, FnnBaseline, FnnConfig, HerqulesBaseline,
-    HerqulesConfig,
+use mlr_core::{
+    evaluate, DiscriminantAnalysis, DiscriminantKind, Discriminator, FnnBaseline, FnnConfig,
+    HerqulesBaseline, HerqulesConfig, OursConfig, OursDiscriminator,
 };
-use mlr_core::{evaluate, Discriminator, OursConfig, OursDiscriminator};
 use mlr_nn::TrainConfig;
 use mlr_sim::{ChipConfig, DatasetSplit, TraceDataset};
 

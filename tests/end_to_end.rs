@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the full pipeline from simulated physics
 //! to classified shots, spanning `mlr-sim`, `mlr-dsp`, `mlr-cluster`,
-//! `mlr-nn`, `mlr-core` and `mlr-baselines`.
+//! `mlr-nn` and `mlr-core`.
 
-use mlr_baselines::{DiscriminantAnalysis, DiscriminantKind};
-use mlr_core::{evaluate, NaturalLeakageDetector, OursConfig, OursDiscriminator};
+use mlr_core::{
+    evaluate, DiscriminantAnalysis, DiscriminantKind, NaturalLeakageDetector, OursConfig,
+    OursDiscriminator,
+};
 use mlr_nn::TrainConfig;
 use mlr_sim::{ChipConfig, LabelSource, TraceDataset};
 

@@ -2,10 +2,9 @@
 //! early-termination readout, integer deployment inference, model
 //! serialisation, and the related-work baselines (HMM, autoencoder).
 
-use mlr_baselines::{AutoencoderBaseline, AutoencoderConfig, HmmBaseline, HmmConfig};
 use mlr_core::{
-    evaluate, evaluate_streaming, Discriminator, OursConfig, OursDiscriminator, StreamingConfig,
-    StreamingReadout,
+    evaluate, evaluate_streaming, AutoencoderBaseline, AutoencoderConfig, Discriminator,
+    HmmBaseline, HmmConfig, OursConfig, OursDiscriminator, StreamingConfig, StreamingReadout,
 };
 use mlr_nn::{FixedPointFormat, IntMlp, QuantizedMlp, TrainConfig};
 use mlr_sim::{ChipConfig, DatasetSplit, TraceDataset};
@@ -160,11 +159,8 @@ fn hmm_exploits_relaxation_structure_on_short_lived_qubits() {
     let split = dataset.split(0.6, 0.0, 11);
 
     let hmm = HmmBaseline::fit(&dataset, &split, &HmmConfig::default());
-    let lda = mlr_baselines::DiscriminantAnalysis::fit(
-        &dataset,
-        &split,
-        mlr_baselines::DiscriminantKind::Lda,
-    );
+    let lda =
+        mlr_core::DiscriminantAnalysis::fit(&dataset, &split, mlr_core::DiscriminantKind::Lda);
     let r_hmm = evaluate(&hmm, &dataset, &split.test);
     let r_lda = evaluate(&lda, &dataset, &split.test);
     let excited_recall =
@@ -265,10 +261,10 @@ fn all_discriminators_expose_consistent_metadata() {
     let discs: Vec<Box<dyn Discriminator>> = vec![
         Box::new(OursDiscriminator::fit(&dataset, &split, &quick)),
         Box::new(HmmBaseline::fit(&dataset, &split, &HmmConfig::default())),
-        Box::new(mlr_baselines::DiscriminantAnalysis::fit(
+        Box::new(mlr_core::DiscriminantAnalysis::fit(
             &dataset,
             &split,
-            mlr_baselines::DiscriminantKind::Qda,
+            mlr_core::DiscriminantKind::Qda,
         )),
     ];
     for disc in &discs {

@@ -255,20 +255,6 @@ fn qda_zoo() -> &'static QdaZoo {
     })
 }
 
-/// A scalar single-pair dot product.
-type DotFn = fn(&[f32], &[f32]) -> f32;
-
-/// The reproducible (`fma == false`) or FMA precision tier, with the
-/// scalar single-pair dot whose sequence its kernels must reproduce.
-fn tier(fma: bool) -> (mlr_core::plan::PlanPrecision, DotFn) {
-    use mlr_core::plan::{dot_f32_scalar, fma_f32_scalar, PlanPrecision};
-    if fma {
-        (PlanPrecision::Fma, fma_f32_scalar)
-    } else {
-        (PlanPrecision::Reproducible, dot_f32_scalar)
-    }
-}
-
 /// Whether two kernel results are the same to the bit, counting any two
 /// NaNs as equal (a NaN's payload carries no verdict).
 fn same_bits(a: f32, b: f32) -> bool {
@@ -307,18 +293,17 @@ struct ReferenceShot {
     levels: Vec<usize>,
 }
 
-/// Re-scores one shot from a plan's own lowered weights with a scalar
-/// single-pair `dot` per (kernel row, shot) over the row's span and per
+/// Re-scores one shot from a plan's own lowered weights with the scalar
+/// single-pair dot per (kernel row, shot) over the row's span and per
 /// (head row, shot), then applies the decision rules (running argmax for
 /// heads with layers, first-element argmax for collapsed heads and
 /// marginals).
 fn reference_shot(
     graph: &mlr_core::plan::OpGraph,
     spans: &[(usize, usize)],
-    dot: DotFn,
     raw: &[Complex],
 ) -> ReferenceShot {
-    use mlr_core::plan::{DenseOp, Op, OutputStage};
+    use mlr_core::plan::{dot_f32_scalar as dot, DenseOp, Op, OutputStage};
     let narrow = |xs: &[f64]| xs.iter().map(|&x| x as f32).collect::<Vec<f32>>();
     let flat: Vec<f32> = raw
         .iter()
@@ -1399,65 +1384,6 @@ proptest! {
     }
 
     #[test]
-    fn fma_tier_scalar_and_simd_agree_within_documented_budget(
-        xs in prop::collection::vec(-8f32..8.0, 1..200),
-        ys in prop::collection::vec(-8f32..8.0, 1..200),
-    ) {
-        // The FMA tier trades the reproducible tier's bitwise contract
-        // for fused rounding, so its own scalar mirror (`fma_f32_scalar`,
-        // sequential `mul_add`) and the 8-lane AVX2 kernel may round
-        // differently — but only within the tier's documented relative
-        // budget of 1e-5 on the absolute-product norm. The reproducible
-        // dot must sit inside the same envelope.
-        let n = xs.len().min(ys.len());
-        let (a, b) = (&xs[..n], &ys[..n]);
-        let norm: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| (f64::from(x) * f64::from(y)).abs())
-            .sum();
-        let tol = 1e-5 * (1.0 + norm);
-        let scalar = f64::from(mlr_core::plan::fma_f32_scalar(a, b));
-        let fused = f64::from(mlr_core::plan::fma_f32(a, b));
-        let base = f64::from(mlr_core::plan::dot_f32(a, b));
-        prop_assert!((scalar - fused).abs() <= tol, "{} vs {}", scalar, fused);
-        prop_assert!((base - fused).abs() <= tol, "{} vs {}", base, fused);
-        #[cfg(target_arch = "x86_64")]
-        if mlr_core::plan::fma_active() {
-            let simd = f64::from(mlr_core::plan::fma_f32_avx2(a, b));
-            prop_assert!((scalar - simd).abs() <= tol, "{} vs {}", scalar, simd);
-        }
-    }
-
-    #[test]
-    fn fma_precision_tier_moves_plan_logits_within_budget(pick in any::<u64>()) {
-        // Switching a compiled plan to the FMA tier may move every score
-        // by fused-rounding noise but must stay within a small relative
-        // budget of the reproducible tier — the precision knob trades
-        // reproducibility for speed, never correctness.
-        let zoo = zoo();
-        let raw = zoo.dataset.raw((pick as usize) % zoo.dataset.len());
-        let mut fma_plan = zoo.ours.plan().clone();
-        fma_plan.set_precision(mlr_core::plan::PlanPrecision::Fma);
-        prop_assert_eq!(
-            zoo.ours.plan().precision(),
-            mlr_core::plan::PlanPrecision::Reproducible
-        );
-        let base = zoo.ours.plan().logits_shot(raw);
-        let fused = fma_plan.logits_shot(raw);
-        for (f, l) in fused.iter().zip(&base) {
-            prop_assert_eq!(f.len(), l.len());
-            for (a, b) in f.iter().zip(l) {
-                prop_assert!(
-                    (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
-                    "fma logit {} vs reproducible {}",
-                    a, b
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dot_f32_simd_agrees_bitwise_with_scalar(
         xs in prop::collection::vec(-8f32..8.0, 0..200),
         ys in prop::collection::vec(-8f32..8.0, 0..200),
@@ -1487,21 +1413,20 @@ proptest! {
         lead in 0usize..5,
         pad in 0usize..5,
         flavour in 0usize..4,
-        fma in any::<bool>(),
         seed in any::<u64>(),
     ) {
         // The tile-major executor's contract: every (row, shot) pair the
         // register-blocked bank kernel or the 8-shot-lane head kernel
-        // scores equals the tier's scalar single-pair dot to the bit, on
+        // scores equals the scalar single-pair dot to the bit, on
         // the AVX-512 and AVX2 paths and the scalar mirror alike — for any
         // length (remainder-only, exact chunks, chunks plus remainder),
         // ragged row and shot blocks, banded spans and NaN, ±0 or ReLU
         // inputs.
         use mlr_core::plan::{self as kernels, SHOT_LANES};
         let len = [0usize, 1, 7, 11, 22, 31, 32, 33, 45, 1000][len_pick];
-        let (precision, dot) = tier(fma);
+        let dot = kernels::dot_f32_scalar;
         #[cfg(target_arch = "x86_64")]
-        let vector = if fma { kernels::fma_active() } else { kernels::simd_active() };
+        let vector = kernels::simd_active();
         #[cfg(target_arch = "x86_64")]
         let avx512 = kernels::avx512_active();
 
@@ -1511,15 +1436,15 @@ proptest! {
         let rows = kernel_data(n_rows * stride, seed, flavour);
         let shots = kernel_data(n_shots * stride, seed ^ 0x9e37_79b9, flavour);
         let mut outs = vec![vec![f32::INFINITY; n_shots * n_rows]; 4];
-        kernels::dot_tile(precision, &rows, &shots, stride, span.clone(), &mut outs[0], n_rows);
-        kernels::dot_tile_scalar(precision, &rows, &shots, stride, span.clone(), &mut outs[1], n_rows);
+        kernels::dot_tile(&rows, &shots, stride, span.clone(), &mut outs[0], n_rows);
+        kernels::dot_tile_scalar(&rows, &shots, stride, span.clone(), &mut outs[1], n_rows);
         #[cfg(target_arch = "x86_64")]
         if vector {
-            kernels::dot_tile_avx2(precision, &rows, &shots, stride, span.clone(), &mut outs[2], n_rows);
+            kernels::dot_tile_avx2(&rows, &shots, stride, span.clone(), &mut outs[2], n_rows);
         }
         #[cfg(target_arch = "x86_64")]
         if avx512 {
-            kernels::dot_tile_avx512(precision, &rows, &shots, stride, span.clone(), &mut outs[3], n_rows);
+            kernels::dot_tile_avx512(&rows, &shots, stride, span.clone(), &mut outs[3], n_rows);
         }
         for r in 0..n_rows {
             for s in 0..n_shots {
@@ -1541,11 +1466,11 @@ proptest! {
         let w = kernel_data(n_rows * len, seed ^ 0x51, flavour);
         let x = kernel_data(len * SHOT_LANES, seed ^ 0xa7, flavour);
         let mut outs = vec![vec![f32::INFINITY; n_rows * SHOT_LANES]; 3];
-        kernels::dot_lanes(precision, &w, len, &x, &mut outs[0]);
-        kernels::dot_lanes_scalar(precision, &w, len, &x, &mut outs[1]);
+        kernels::dot_lanes(&w, len, &x, &mut outs[0]);
+        kernels::dot_lanes_scalar(&w, len, &x, &mut outs[1]);
         #[cfg(target_arch = "x86_64")]
         if vector {
-            kernels::dot_lanes_avx2(precision, &w, len, &x, &mut outs[2]);
+            kernels::dot_lanes_avx2(&w, len, &x, &mut outs[2]);
         }
         for lane in 0..SHOT_LANES {
             let column: Vec<f32> = (0..len).map(|k| x[k * SHOT_LANES + lane]).collect();
@@ -1600,21 +1525,17 @@ proptest! {
     #[test]
     fn tile_major_plans_match_the_per_shot_reference_bit_for_bit(
         start in any::<u64>(),
-        fma in any::<bool>(),
     ) {
         // Every plan family (OURS, OURS-NO-EMF, OURS-INT, OURS-STREAM per
-        // checkpoint, HERQULES, FNN, LDA, AE), on either tier, decides
-        // every shot of a window exactly as the per-shot arithmetic
-        // re-scored from the plan's own lowered weights — at window sizes
-        // that leave ragged tiles and ragged lane blocks — with trunk
-        // features and head logits equal to the bit.
+        // checkpoint, HERQULES, FNN, LDA, AE) decides every shot of a
+        // window exactly as the per-shot arithmetic re-scored from the
+        // plan's own lowered weights — at window sizes that leave ragged
+        // tiles and ragged lane blocks — with trunk features and head
+        // logits equal to the bit.
         let zoo = zoo();
         let n = zoo.dataset.len();
-        let (precision, dot) = tier(fma);
         for model in &zoo.models {
             for plan in model.plans() {
-                let mut plan = plan.clone();
-                plan.set_precision(precision);
                 let graph = plan.lowered_graph();
                 let window = plan.n_samples();
                 for size in [1usize, 3, 16, 17, 64] {
@@ -1624,7 +1545,7 @@ proptest! {
                     let batch = plan.predict_batch(&shots);
                     let feats = plan.features_batch(&shots);
                     for (s, raw) in shots.iter().enumerate() {
-                        let want = reference_shot(&graph, plan.kernel_spans(), dot, raw);
+                        let want = reference_shot(&graph, plan.kernel_spans(), raw);
                         let what = format!("design {}, window {size}, shot {s}", model.name());
                         prop_assert_eq!(&batch[s], &want.levels, "verdict, {}", what);
                         prop_assert!(
@@ -1633,7 +1554,7 @@ proptest! {
                             "features, {}", what
                         );
                     }
-                    let first = reference_shot(&graph, plan.kernel_spans(), dot, shots[0]);
+                    let first = reference_shot(&graph, plan.kernel_spans(), shots[0]);
                     let logits = plan.logits_shot(shots[0]);
                     prop_assert!(
                         logits.len() == first.logits.len()
