@@ -621,7 +621,6 @@ mod tests {
                 max_queue: 16,
                 standard_watermark: 12,
                 bulk_watermark: 8,
-                ..EngineConfig::default()
             },
         };
         let models: Vec<BoxedDiscriminator> = vec![Box::new(Echo), Box::new(Echo)];

@@ -1,44 +1,24 @@
 //! Injectable time source for the serving layer.
 //!
-//! The engine's flush deadline (`max_delay` past the oldest queued
-//! submission) used to read `std::time::Instant` directly, which made
-//! every deadline-based test race the real 200 µs clock. [`Clock`]
-//! abstracts the two operations the worker actually needs — *what time is
-//! it* and *how long may this condvar wait block before re-checking* — so
-//! production code runs on [`WallClock`] while tests drive a
-//! [`ManualClock`] whose time only moves when the test says so.
-//!
-//! The design constraint is that workers wait on their **own** condvar
-//! (releasing their lock atomically) — a solo engine on its queue
-//! condvar, the shared fleet pool on the one pool-wide wake condvar all
-//! `MLR_FLEET_WORKERS` threads share — so the clock cannot wait on a
-//! worker's behalf. A manual clock instead *subscribes* to each condvar
-//! and notifies them all from [`ManualClock::advance`] (one advance
-//! re-evaluates every tenant's flush deadline across the whole pool),
-//! and tells workers (via [`Clock::timeout_until`] returning `None`) to
-//! wait untimed: the only things that can wake them are new work,
-//! shutdown, or the test moving time — never a scheduler race.
+//! The engine reads the time for two things only: the latency counters
+//! (submission to resolution) and the fleet's LRU access stamps. Neither
+//! decides *when* a shot is classified — pool workers drain whatever is
+//! queued as soon as they are free — so [`Clock`] is just "what time is
+//! it". Production code runs on [`WallClock`]; tests drive a
+//! [`ManualClock`] whose time only moves when the test says so, which
+//! makes every latency and every eviction victim exact.
 
-use std::sync::{Condvar, Mutex, Weak};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use super::lock_recovering;
+
 /// A monotonic time source the serving engine reads instead of
-/// [`Instant::now`] — injectable so tests control flush deadlines.
+/// [`Instant::now`] — injectable so tests control latencies and LRU
+/// stamps.
 pub trait Clock: Send + Sync + std::fmt::Debug + 'static {
     /// Time elapsed since the clock's (arbitrary) epoch.
     fn now(&self) -> Duration;
-
-    /// How long a condvar wait against `deadline` may block before
-    /// re-checking [`Clock::now`]: the real remaining time for wall
-    /// clocks, `None` (wait untimed; [`ManualClock::advance`] notifies
-    /// subscribed condvars) for manual clocks.
-    fn timeout_until(&self, deadline: Duration) -> Option<Duration>;
-
-    /// Registers a condvar to be notified whenever this clock's time
-    /// jumps. Wall clocks ignore this — real time needs no announcements.
-    fn subscribe(&self, waiter: &std::sync::Arc<Condvar>) {
-        let _ = waiter;
-    }
 }
 
 /// The production clock: [`Instant`] anchored at construction.
@@ -66,19 +46,15 @@ impl Clock for WallClock {
     fn now(&self) -> Duration {
         self.epoch.elapsed()
     }
-
-    fn timeout_until(&self, deadline: Duration) -> Option<Duration> {
-        Some(deadline.saturating_sub(self.now()))
-    }
 }
 
 /// A test clock that only moves when told to.
 ///
-/// Engines built with [`crate::ReadoutEngine::with_clock`] subscribe
-/// their worker condvar; [`ManualClock::advance`] bumps the time and
-/// wakes every subscriber, so a deadline flush happens exactly when the
-/// test advances past the deadline — deterministically, with no real
-/// sleeping anywhere.
+/// Engines built with [`crate::ReadoutEngine::with_clock`] stamp
+/// submissions, resolutions and LRU accesses from it, so a test that
+/// [`ManualClock::advance`]s between two submissions reads exact
+/// latencies and an exact eviction order — with no real sleeping
+/// anywhere.
 ///
 /// # Examples
 ///
@@ -91,121 +67,38 @@ impl Clock for WallClock {
 /// clock.advance(Duration::from_micros(250));
 /// assert_eq!(clock.now(), Duration::from_micros(250));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ManualClock {
     now: Mutex<Duration>,
-    subscribers: Mutex<Vec<Weak<Condvar>>>,
 }
 
 impl ManualClock {
     /// A frozen clock at time zero.
     pub fn new() -> Self {
-        Self {
-            now: Mutex::new(Duration::ZERO),
-            subscribers: Mutex::new(Vec::new()),
-        }
+        Self::default()
     }
 
-    /// Moves time forward by `step` and wakes every subscribed waiter.
+    /// Moves time forward by `step`.
     pub fn advance(&self, step: Duration) {
-        {
-            let mut now = lock(&self.now);
-            *now += step;
-        }
-        self.notify_subscribers();
-    }
-
-    fn notify_subscribers(&self) {
-        let mut subs = lock(&self.subscribers);
-        // Dead engines drop their condvar; prune them as we notify.
-        subs.retain(|weak| match weak.upgrade() {
-            Some(cv) => {
-                cv.notify_all();
-                true
-            }
-            None => false,
-        });
-    }
-}
-
-impl Default for ManualClock {
-    fn default() -> Self {
-        Self::new()
+        *lock_recovering(&self.now) += step;
     }
 }
 
 impl Clock for ManualClock {
     fn now(&self) -> Duration {
-        *lock(&self.now)
+        *lock_recovering(&self.now)
     }
-
-    fn timeout_until(&self, _deadline: Duration) -> Option<Duration> {
-        None
-    }
-
-    fn subscribe(&self, waiter: &std::sync::Arc<Condvar>) {
-        lock(&self.subscribers).push(std::sync::Arc::downgrade(waiter));
-    }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
-    fn wall_clock_moves_and_times_out() {
+    fn wall_clock_is_monotonic() {
         let clock = WallClock::new();
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);
-        let t = clock
-            .timeout_until(clock.now() + Duration::from_secs(1))
-            .expect("wall clocks always time out");
-        assert!(t <= Duration::from_secs(1));
-        // A deadline already in the past leaves nothing to wait for.
-        assert_eq!(clock.timeout_until(Duration::ZERO), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn manual_clock_advances_and_notifies() {
-        let clock = ManualClock::new();
-        assert_eq!(clock.timeout_until(Duration::from_secs(5)), None);
-
-        let cv = Arc::new(Condvar::new());
-        let gate = Arc::new(Mutex::new(false));
-        clock.subscribe(&cv);
-
-        let waiter = {
-            let cv = Arc::clone(&cv);
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                let mut ready = gate.lock().unwrap();
-                while !*ready {
-                    ready = cv.wait(ready).unwrap();
-                }
-            })
-        };
-        // Open the gate, then advance: the notify must reach the waiter.
-        *gate.lock().unwrap() = true;
-        clock.advance(Duration::from_millis(1));
-        waiter.join().unwrap();
-        assert_eq!(clock.now(), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn dead_subscribers_are_pruned() {
-        let clock = ManualClock::new();
-        let cv = Arc::new(Condvar::new());
-        clock.subscribe(&cv);
-        drop(cv);
-        clock.advance(Duration::from_secs(1));
-        assert!(lock(&clock.subscribers).is_empty());
     }
 }

@@ -272,12 +272,11 @@ impl FleetEngine {
         Self::with_clock(config, Arc::new(WallClock::new()))
     }
 
-    /// [`FleetEngine::new`] with an injected time source, shared by the
-    /// worker pool and every tenant the fleet installs (one
-    /// [`super::ManualClock`] can drive all flush deadlines — and all
-    /// LRU access stamps — in tests).
+    /// [`FleetEngine::new`] with an injected time source, shared by every
+    /// tenant the fleet installs (one [`super::ManualClock`] drives all
+    /// latency counters and LRU access stamps in tests).
     pub fn with_clock(config: FleetConfig, clock: Arc<dyn Clock>) -> Self {
-        let pool = WorkerPool::new(config.workers, Arc::clone(&clock), "mlr-fleet-worker");
+        let pool = WorkerPool::new(config.workers, "mlr-fleet-worker");
         Self {
             config,
             clock,

@@ -7,10 +7,11 @@
 //! control system (or a fleet of concurrent callers) produces them one at
 //! a time. [`ReadoutEngine`] closes that gap the way production model
 //! servers do: callers [`Session::submit`] individual shots from any
-//! thread and get a [`Ticket`] back; a worker coalesces queued shots
-//! until either `max_batch` is reached or the oldest submission has
-//! waited `max_delay`, issues **one** `predict_batch` call for the whole
-//! micro-batch, and resolves every ticket with its per-qubit verdict.
+//! thread and get a [`Ticket`] back; as soon as a worker is free it
+//! drains up to `max_batch` queued shots, issues **one** `predict_batch`
+//! call for the whole micro-batch, and resolves every ticket with its
+//! per-qubit verdict. Batches grow with load on their own: shots that
+//! arrive while a batch is being classified queue up to form the next.
 //!
 //! When the caller already holds a *window* of shots — a feedline's worth
 //! of multiplexed readout, not one shot at a time — [`Session::submit_all`]
@@ -52,8 +53,8 @@
 //!   per worker, surfaced by `mlr serve-stats` and summed fleet-wide.
 //!
 //! Time is injectable ([`Clock`]): production engines read a
-//! [`WallClock`], tests drive flush deadlines with a [`ManualClock`] so
-//! nothing races the real 200 µs window. Faults are injectable too
+//! [`WallClock`], tests drive a [`ManualClock`] so latency counters and
+//! LRU stamps are exact. Faults are injectable too
 //! ([`fault::FaultyDiscriminator`]): a panicking, blocking or
 //! wrong-shaped model fails its own tickets loudly — never hangs them —
 //! and never touches another worker.
@@ -172,14 +173,10 @@ impl std::str::FromStr for Qos {
 /// Micro-batching and admission policy of a [`ReadoutEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Flush as soon as this many shots are queued. 64 matches the batch
+    /// Largest micro-batch a worker drains in one go. 64 matches the batch
     /// kernels' sweet spot on the 5-qubit chip (see the
     /// `engine_throughput` bench).
     pub max_batch: usize,
-    /// Flush when the oldest queued shot has waited this long (on the
-    /// engine's [`Clock`]), so a lone shot is never stranded behind an
-    /// empty queue.
-    pub max_delay: Duration,
     /// Hard queue bound: [`Session::submit`] blocks (and
     /// [`Session::try_submit`] rejects with [`Rejected::QueueFull`])
     /// while this many shots are already queued. Bounds the engine's
@@ -205,14 +202,13 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The default policy scaled to a hard queue bound of `max_queue`:
-    /// micro-batches of 64 (clamped to the queue), a 200 µs flush
-    /// deadline, standard admission at 7/8 of the queue and bulk
-    /// admission at half of it.
+    /// micro-batches of at most 64 (clamped to the queue), drained as
+    /// soon as a worker is free, standard admission at 7/8 of the queue
+    /// and bulk admission at half of it.
     pub fn with_queue(max_queue: usize) -> Self {
         let max_queue = max_queue.max(1);
         Self {
             max_batch: 64.min(max_queue),
-            max_delay: Duration::from_micros(200),
             max_queue,
             standard_watermark: (max_queue - max_queue / 8).max(1),
             bulk_watermark: (max_queue / 2).max(1),
@@ -298,8 +294,8 @@ impl fmt::Display for TicketFailed {
 impl std::error::Error for TicketFailed {}
 
 /// One queued shot: its sample storage, the slot its verdict lands in,
-/// and when it entered the queue (anchors the flush deadline and the
-/// latency counters, on the engine's [`Clock`]).
+/// and when it entered the queue (anchors the latency counters, on the
+/// engine's [`Clock`]).
 pub(crate) struct Job {
     trace: TraceBuf,
     slot: VerdictSlot,
@@ -706,7 +702,7 @@ pub(crate) struct Tenant {
     /// Signals submitters blocked on the [`EngineConfig::max_queue`]
     /// backpressure bound: space freed or shutdown.
     space: Condvar,
-    /// The engine's time source (flush deadlines, latency counters).
+    /// The engine's time source (latency counters, LRU stamps).
     clock: Arc<dyn Clock>,
     /// Serving counters, updated lock-free on the submit/resolve paths.
     stats: StatCells,
@@ -745,15 +741,6 @@ struct Queue {
 }
 
 impl Queue {
-    /// Submission timestamp of the oldest queued job across all lanes
-    /// (the flush-deadline anchor).
-    fn oldest_submission(&self) -> Option<Duration> {
-        self.lanes
-            .iter()
-            .filter_map(|lane| lane.front().map(|job| job.submitted_at))
-            .min()
-    }
-
     /// Drains up to `max` jobs, highest-priority lanes first, FIFO within
     /// a lane.
     fn drain_batch(&mut self, max: usize) -> Vec<Job> {
@@ -772,15 +759,13 @@ impl Queue {
 }
 
 /// Whether an enqueue that moved the queue from `pre` to `post` jobs must
-/// wake a pool thread. Only the transitions a worker can act on are worth
-/// the syscall: the queue becoming non-empty (a thread may be
-/// idle-waiting) or crossing the flush size (a thread may be
-/// deadline-waiting; threads rescan after every drain, so the crossing is
-/// hit exactly once per flush). Anything else would wake a thread just to
-/// go back to sleep — on a busy engine that is one context switch per
-/// shot, and it dominates serving overhead.
-fn wake_worthy(pre: usize, post: usize, max_batch: usize) -> bool {
-    (pre == 0 && post > 0) || (pre < max_batch && post >= max_batch)
+/// wake a pool thread: only when it became non-empty. A queue that was
+/// already non-empty is either being drained — and its drainer rescans
+/// when it finishes — or was announced by the wake that made it
+/// non-empty. Waking on every shot would cost a context switch per shot
+/// on a busy engine, and that dominates serving overhead.
+fn wake_worthy(pre: usize, post: usize) -> bool {
+    pre == 0 && post > 0
 }
 
 impl Tenant {
@@ -865,39 +850,22 @@ impl Tenant {
         self.space.notify_all();
     }
 
-    /// If this tenant has a flushable batch (full, past deadline, or
-    /// closed) and no other thread is draining it, claims it: marks the
-    /// queue draining and returns the batch. The caller must hand the
-    /// batch to [`Tenant::classify_and_resolve`] with
-    /// `clear_draining = true`.
-    pub(crate) fn try_begin_drain(&self, now: Duration) -> Option<Vec<Job>> {
+    /// If this tenant has queued shots and no other thread is draining
+    /// it, claims up to `max_batch` of them: marks the queue draining and
+    /// returns the batch. The caller must hand the batch to
+    /// [`Tenant::classify_and_resolve`] with `clear_draining = true`.
+    pub(crate) fn try_begin_drain(&self) -> Option<Vec<Job>> {
         let mut queue = lock_recovering(&self.queue);
         if queue.draining || queue.len == 0 {
-            return None;
-        }
-        let deadline_hit = queue
-            .oldest_submission()
-            .is_some_and(|oldest| now >= oldest + self.config.max_delay);
-        if !(queue.closed || queue.len >= self.config.max_batch || deadline_hit) {
             return None;
         }
         queue.draining = true;
         Some(queue.drain_batch(self.config.max_batch))
     }
 
-    /// Queue length, plus the flush deadline if the queue holds
-    /// not-yet-drainable work (the pool's sleep bound). `None` deadline
-    /// when empty, closed, or another thread is already draining.
-    pub(crate) fn pending_deadline(&self) -> (usize, Option<Duration>) {
-        let queue = lock_recovering(&self.queue);
-        let deadline = if queue.len > 0 && !queue.draining && !queue.closed {
-            queue
-                .oldest_submission()
-                .map(|oldest| oldest + self.config.max_delay)
-        } else {
-            None
-        };
-        (queue.len, deadline)
+    /// Shots queued and not yet claimed by a drainer.
+    pub(crate) fn queued(&self) -> usize {
+        lock_recovering(&self.queue).len
     }
 
     /// Classifies one drained batch in a single `predict_batch` call and
@@ -1105,7 +1073,7 @@ impl Session {
                 submitted_at,
             );
             self.tenant.stats.record_submit(self.qos, queue.len);
-            wake_worthy(pre, queue.len, self.tenant.config.max_batch)
+            wake_worthy(pre, queue.len)
         };
         if must_wake {
             self.pool.wake_one();
@@ -1159,7 +1127,7 @@ impl Session {
                 submitted_at,
             );
             self.tenant.stats.record_submit(self.qos, queue.len);
-            wake_worthy(pre, queue.len, self.tenant.config.max_batch)
+            wake_worthy(pre, queue.len)
         };
         if must_wake {
             self.pool.wake_one();
@@ -1232,7 +1200,7 @@ impl Session {
                 }
                 next += take;
                 self.tenant.stats.record_submit_n(self.qos, take, queue.len);
-                wake_worthy(pre, queue.len, self.tenant.config.max_batch)
+                wake_worthy(pre, queue.len)
             };
             if must_wake {
                 self.pool.wake_one();
@@ -1311,7 +1279,7 @@ impl Session {
             if take > 0 {
                 self.tenant.stats.record_submit_n(self.qos, take, queue.len);
             }
-            let must_wake = wake_worthy(pre, queue.len, self.tenant.config.max_batch);
+            let must_wake = wake_worthy(pre, queue.len);
             let ticket = BatchTicket { slot: batch };
             if take == n {
                 (Ok(ticket), must_wake)
@@ -1415,7 +1383,7 @@ impl ReadoutEngine {
     }
 
     /// [`ReadoutEngine::new`] with an injected time source — a
-    /// [`ManualClock`] makes every flush deadline deterministic in tests.
+    /// [`ManualClock`] makes latency counters exact in tests.
     ///
     /// # Panics
     ///
@@ -1425,9 +1393,9 @@ impl ReadoutEngine {
         config: EngineConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let tenant = Tenant::new(model, config, Arc::clone(&clock));
+        let tenant = Tenant::new(model, config, clock);
         let config = tenant.config();
-        let pool = WorkerPool::new(1, clock, "mlr-readout-engine");
+        let pool = WorkerPool::new(1, "mlr-readout-engine");
         pool.core().add(0, Arc::clone(&tenant));
         Self {
             tenant,

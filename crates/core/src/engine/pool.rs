@@ -17,27 +17,28 @@
 //! keeps other threads off that tenant, and they keep serving healthy
 //! fingerprints. The workspace's fault tests pin this with zero sleeps.
 //!
-//! Wakes are a single [`Condvar`] shared by all threads and subscribed to
-//! the engine [`Clock`] (a [`super::ManualClock`] advance re-evaluates
-//! every flush deadline). Submitters call [`PoolCore::wake_one`] only on
-//! wake-worthy queue transitions (see [`super::wake_worthy`]).
+//! The flush rule is work-conserving: a free thread drains any tenant
+//! that has queued shots and no other drainer, up to `max_batch` at a
+//! time. Batches form from service time alone — while one batch is being
+//! classified the next one queues up behind it — so nothing ever waits on
+//! a timer. A thread sleeps only when every non-empty tenant already has
+//! a drainer, and each drainer rescans the roster when it finishes.
+//!
+//! Wakes are a single [`Condvar`] shared by all threads. Submitters call
+//! [`PoolCore::wake_one`] only when a queue goes from empty to non-empty
+//! (see [`super::wake_worthy`]).
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use super::clock::Clock;
 use super::{lock_recovering, Tenant};
 
 /// The state shared between pool threads and every [`super::Session`]:
 /// the tenant roster and the wake condvar.
 pub(crate) struct PoolCore {
     roster: Mutex<Roster>,
-    /// The pool-wide wake signal: new drainable work, shutdown, or a
-    /// [`Clock`] advance. `Arc` so the clock can hold a `Weak`
-    /// subscription.
-    wake: Arc<Condvar>,
-    clock: Arc<dyn Clock>,
+    /// The pool-wide wake signal: new drainable work or shutdown.
+    wake: Condvar,
 }
 
 struct Roster {
@@ -103,19 +104,15 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `threads.max(1)` workers named `{name}-{i}`, subscribed to
-    /// `clock` so injected time drives flush deadlines.
-    pub(crate) fn new(threads: usize, clock: Arc<dyn Clock>, name: &str) -> Self {
-        let wake = Arc::new(Condvar::new());
-        clock.subscribe(&wake);
+    /// Spawns `threads.max(1)` workers named `{name}-{i}`.
+    pub(crate) fn new(threads: usize, name: &str) -> Self {
         let core = Arc::new(PoolCore {
             roster: Mutex::new(Roster {
                 tenants: Vec::new(),
                 cursor: 0,
                 closed: false,
             }),
-            wake,
-            clock,
+            wake: Condvar::new(),
         });
         let threads = (0..threads.max(1))
             .map(|i| {
@@ -139,9 +136,8 @@ impl Drop for WorkerPool {
         {
             let mut roster = lock_recovering(&self.core.roster);
             roster.closed = true;
-            // Close every tenant so their remaining queues become
-            // flushable regardless of deadlines (a frozen ManualClock
-            // must not strand a sub-batch tail at shutdown).
+            // Close every tenant so submissions stop; the threads drain
+            // what is already queued before they exit.
             for (_, tenant) in &roster.tenants {
                 tenant.close();
             }
@@ -154,19 +150,17 @@ impl Drop for WorkerPool {
 }
 
 /// The worker loop: claim a drainable tenant (round-robin), classify its
-/// batch outside the roster lock, repeat; otherwise sleep until the
-/// earliest flush deadline (or indefinitely under a manual clock, which
-/// wakes us on `advance`).
+/// batch outside the roster lock, repeat; otherwise sleep until a
+/// submitter, a finishing drainer or shutdown wakes us.
 fn pool_loop(core: &PoolCore) {
     let mut roster = lock_recovering(&core.roster);
     loop {
-        let now = core.clock.now();
         let n = roster.tenants.len();
         let mut claimed = None;
         for k in 0..n {
             let idx = (roster.cursor + 1 + k) % n;
             let tenant = Arc::clone(&roster.tenants[idx].1);
-            if let Some(batch) = tenant.try_begin_drain(now) {
+            if let Some(batch) = tenant.try_begin_drain() {
                 roster.cursor = idx;
                 claimed = Some((tenant, batch));
                 break;
@@ -180,52 +174,17 @@ fn pool_loop(core: &PoolCore) {
             roster = lock_recovering(&core.roster);
             continue;
         }
-        // Nothing drainable. Work out whether we're done, and if not how
-        // long to sleep: until the earliest pending flush deadline.
-        let mut queued = 0usize;
-        let mut deadline: Option<Duration> = None;
-        for (_, tenant) in &roster.tenants {
-            let (len, d) = tenant.pending_deadline();
-            queued += len;
-            deadline = match (deadline, d) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        if roster.closed && queued == 0 {
-            // Cascade the shutdown: a sibling may be in an untimed wait
-            // while we observed the queues empty.
+        // Nothing drainable: every non-empty tenant has a drainer, which
+        // rescans when it finishes. Exit once shutdown has emptied them.
+        if roster.closed && roster.tenants.iter().all(|(_, t)| t.queued() == 0) {
+            // Cascade the shutdown: a sibling may be waiting while we
+            // observed the queues empty.
             core.wake.notify_all();
             return;
         }
-        match deadline {
-            None => {
-                roster = core
-                    .wake
-                    .wait(roster)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            Some(deadline) => match core.clock.timeout_until(deadline) {
-                // Manual clock: `advance` notifies the subscribed
-                // condvar, so an untimed wait is safe and deterministic.
-                None => {
-                    roster = core
-                        .wake
-                        .wait(roster)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                Some(timeout) if timeout.is_zero() => {
-                    // Deadline already due under a wall clock: rescan.
-                    continue;
-                }
-                Some(timeout) => {
-                    roster = core
-                        .wake
-                        .wait_timeout(roster, timeout)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .0;
-                }
-            },
-        }
+        roster = core
+            .wake
+            .wait(roster)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }

@@ -1,7 +1,7 @@
-//! Engine and fleet unit tests. Everything deadline-related runs on a
-//! [`ManualClock`] — time only moves when a test says so, so no
-//! assertion races the real 200 µs flush window (the PR that introduced
-//! these engines had wall-clock-based tests that flaked under load).
+//! Engine and fleet unit tests. A free worker drains whatever is queued
+//! at once, so a test that needs shots to wait in a queue first pins the
+//! worker inside a gated model ([`GatedEcho`]); latencies and LRU stamps
+//! run on a [`ManualClock`]. Nothing here sleeps or races the scheduler.
 
 use super::fault::{FaultMode, FaultyDiscriminator, Gate};
 use super::*;
@@ -45,23 +45,24 @@ impl Discriminator for EchoOffset {
     }
 }
 
-/// An [`Echo`] that records the trace lengths of every batch it is asked
-/// to classify — lets tests observe *flush composition*, not just
+/// A [`GatedEcho`] that records the trace lengths of every batch it is
+/// asked to classify — lets tests observe *flush composition*, not just
 /// verdicts.
 struct Recorder {
     batches: Arc<Mutex<Vec<Vec<usize>>>>,
+    inner: GatedEcho,
 }
 
 impl Discriminator for Recorder {
     fn predict_shot(&self, raw: &[Complex]) -> Vec<usize> {
-        vec![raw.len() % 3; 2]
+        self.inner.predict_shot(raw)
     }
     fn predict_batch(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
         self.batches
             .lock()
             .unwrap()
             .push(shots.iter().map(|s| s.len()).collect());
-        shots.iter().map(|s| self.predict_shot(s)).collect()
+        self.inner.predict_batch(shots)
     }
     fn name(&self) -> &str {
         "RECORDER"
@@ -102,6 +103,16 @@ impl Discriminator for GatedEcho {
     }
 }
 
+/// A [`GatedEcho`] with its `hold` and `entered` gates, both closed.
+fn gated() -> (GatedEcho, Arc<Gate>, Arc<Gate>) {
+    let (hold, entered) = (Gate::new(), Gate::new());
+    let model = GatedEcho {
+        hold: Arc::clone(&hold),
+        entered: Arc::clone(&entered),
+    };
+    (model, hold, entered)
+}
+
 fn trace(len: usize) -> Vec<Complex> {
     vec![Complex::new(1.0, -1.0); len]
 }
@@ -130,25 +141,21 @@ fn overhead_probe() {
 }
 
 #[test]
-fn single_submission_resolves_on_deadline_advance() {
-    let clock = manual();
-    let engine = ReadoutEngine::with_clock(
-        Box::new(Echo),
-        EngineConfig {
-            max_batch: 64,
-            max_delay: Duration::from_micros(200),
-            ..EngineConfig::default()
-        },
-        clock.clone(),
-    );
-    let ticket = engine.session().submit(&trace(7));
-    // Time has not reached the deadline: a flush is *impossible*, so the
-    // peek is deterministic no matter how threads are scheduled.
-    clock.advance(Duration::from_micros(100));
-    assert!(ticket.try_wait().is_none());
-    // Crossing the deadline wakes the worker and flushes the lone shot.
-    clock.advance(Duration::from_micros(150));
+fn lone_shot_resolves_without_a_clock_advance() {
+    // Default policy on a frozen clock: an idle worker drains a lone shot
+    // at once, whichever submit path queued it — there is no batch to
+    // fill and no time to wait out.
+    let engine = ReadoutEngine::with_clock(Box::new(Echo), EngineConfig::default(), manual());
+    assert_eq!(engine.session().submit(&trace(7)).wait(), vec![1, 1]);
+    assert_eq!(engine.stats().flushes, 1);
+
+    let engine = ReadoutEngine::with_clock(Box::new(Echo), EngineConfig::default(), manual());
+    let ticket = engine
+        .session()
+        .try_submit(&trace(7))
+        .expect("an empty queue admits the shot");
     assert_eq!(ticket.wait(), vec![1, 1]);
+    assert_eq!(engine.stats().flushes, 1);
 }
 
 #[test]
@@ -178,7 +185,6 @@ fn concurrent_sessions_from_many_threads_agree_with_direct_batch() {
         Box::new(model),
         EngineConfig {
             max_batch: 7, // deliberately unaligned with the shot count
-            max_delay: Duration::from_micros(50),
             ..EngineConfig::default()
         },
     );
@@ -220,10 +226,12 @@ fn classify_all_matches_direct_predict_batch() {
 
 #[test]
 fn drop_resolves_outstanding_tickets() {
-    // Frozen clock and an unreachable batch size: only the drop-drain can
-    // resolve these tickets, so the test pins exactly that path.
+    // The worker is pinned on the first shot until the drop has closed
+    // the queue, so the other 18 are still queued at shutdown: only the
+    // drop-drain can resolve them, and the test pins exactly that path.
+    let (model, hold, entered) = gated();
     let engine = ReadoutEngine::with_clock(
-        Box::new(Echo),
+        Box::new(model),
         EngineConfig {
             max_batch: 1000,
             max_queue: 1000,
@@ -232,8 +240,23 @@ fn drop_resolves_outstanding_tickets() {
         manual(),
     );
     let session = engine.session();
-    let tickets: Vec<Ticket> = (1..20).map(|i| session.submit(&trace(i))).collect();
-    drop(engine); // flushes the queue before joining the worker
+    let mut tickets = vec![session.submit(&trace(1))];
+    entered.pass();
+    tickets.extend((2..20).map(|i| session.submit(&trace(i))));
+    let tenant = Arc::clone(&engine.tenant);
+    let opener = std::thread::spawn(move || {
+        let mut queue = lock_recovering(&tenant.queue);
+        while !queue.closed {
+            queue = tenant
+                .space
+                .wait(queue)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        drop(queue);
+        hold.open();
+    });
+    drop(engine); // closes the queue, then drains it before joining the worker
+    opener.join().expect("gate opener");
     for (i, ticket) in tickets.into_iter().enumerate() {
         assert_eq!(ticket.wait(), vec![(i + 1) % 3; 2]);
     }
@@ -294,24 +317,29 @@ fn resolving_a_poisoned_ticket_slot_still_wakes_waiters() {
 
 #[test]
 fn try_wait_is_nonblocking_and_nonconsuming() {
-    // Frozen clock, batch of two: after one submission *nothing* can have
-    // resolved (the deadline cannot pass), so the None peek is exact.
-    let clock = manual();
+    // The worker is pinned inside the model on an earlier shot, so
+    // `first` sits in the queue and *nothing* can resolve it: the None
+    // peek is exact.
+    let (model, hold, entered) = gated();
     let engine = ReadoutEngine::with_clock(
-        Box::new(Echo),
+        Box::new(model),
         EngineConfig {
             max_batch: 2,
             ..EngineConfig::default()
         },
-        clock,
+        manual(),
     );
     let session = engine.session();
+    let pinned = session.submit(&trace(3));
+    entered.pass();
     let first = session.submit(&trace(4));
     assert!(first.try_wait().is_none());
     let second = session.submit(&trace(5));
+    hold.open();
+    assert_eq!(pinned.wait(), vec![0, 0]);
     assert_eq!(second.wait(), vec![2, 2]);
-    // After the flush the first ticket resolves too — and peeking does
-    // not consume it, so wait still returns the verdict.
+    // `first` shared the flush and resolved before `second` — and
+    // peeking does not consume it, so wait still returns the verdict.
     assert_eq!(first.try_wait(), Some(vec![1, 1]));
     assert_eq!(first.try_wait(), Some(vec![1, 1]));
     assert_eq!(first.wait(), vec![1, 1]);
@@ -320,36 +348,41 @@ fn try_wait_is_nonblocking_and_nonconsuming() {
 #[test]
 fn qos_lanes_flush_realtime_before_standard_before_bulk() {
     let batches = Arc::new(Mutex::new(Vec::new()));
-    let clock = manual();
+    let (inner, hold, entered) = gated();
     let engine = ReadoutEngine::with_clock(
         Box::new(Recorder {
             batches: Arc::clone(&batches),
+            inner,
         }),
         EngineConfig {
             max_batch: 4,
             ..EngineConfig::default()
         },
-        clock,
+        manual(),
     );
     let bulk = engine.session_with(Qos::Bulk);
     let realtime = engine.session_with(Qos::Realtime);
     let standard = engine.session_with(Qos::Standard);
     assert_eq!(realtime.qos(), Qos::Realtime);
-    // Frozen clock: the flush can only trigger on the 4th submission, so
-    // all four are queued when the worker drains — and must come out in
-    // priority order (realtime FIFO, then standard, then bulk), not
-    // submission order.
+    // The worker is pinned on a first shot while four more queue behind
+    // it, so all four are queued when it drains them as one batch — and
+    // they must come out in priority order (realtime FIFO, then
+    // standard, then bulk), not submission order.
+    let pinned = standard.submit(&trace(9));
+    entered.pass();
     let tickets = [
         bulk.submit(&trace(1)),
         realtime.submit(&trace(2)),
         standard.submit(&trace(3)),
         realtime.submit(&trace(4)),
     ];
+    hold.open();
+    let _ = pinned.wait();
     for ticket in tickets {
         let _ = ticket.wait();
     }
     let seen = batches.lock().unwrap();
-    assert_eq!(seen.as_slice(), &[vec![2, 4, 3, 1]]);
+    assert_eq!(seen.as_slice(), &[vec![9], vec![2, 4, 3, 1]]);
 }
 
 #[test]
@@ -361,7 +394,6 @@ fn admission_sheds_by_class_and_conserves_every_ticket() {
         max_queue: 8,
         standard_watermark: 6,
         bulk_watermark: 3,
-        ..EngineConfig::default()
     };
     let engine = ReadoutEngine::with_clock(
         Box::new(GatedEcho {
@@ -472,18 +504,22 @@ fn model_panic_fails_tickets_and_closes_engine_instead_of_hanging() {
 
 #[test]
 fn panicking_waiter_does_not_wedge_sibling_tickets() {
-    let clock = manual();
+    let (model, hold, entered) = gated();
     let engine = ReadoutEngine::with_clock(
-        FaultyDiscriminator::boxed(Box::new(Echo), FaultMode::PanicOnFlush(0)),
+        FaultyDiscriminator::boxed(Box::new(model), FaultMode::PanicOnFlush(1)),
         EngineConfig {
             max_batch: 2,
             ..EngineConfig::default()
         },
-        clock,
+        manual(),
     );
     let session = engine.session();
+    let pinned = session.submit(&trace(3));
+    entered.pass();
     let first = session.submit(&trace(4));
-    let second = session.submit(&trace(5)); // fills the batch -> flush -> panic
+    let second = session.submit(&trace(5));
+    hold.open(); // both queued behind the pin -> one flush -> panic
+    assert_eq!(pinned.wait(), vec![0, 0]);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || first.wait()));
     assert!(err.is_err(), "wait on a failed ticket must panic");
     // The sibling's outcome is still reachable after its neighbour's
@@ -493,9 +529,10 @@ fn panicking_waiter_does_not_wedge_sibling_tickets() {
 
 #[test]
 fn wrong_shape_outputs_fail_tickets_like_a_panic() {
-    for mode in [FaultMode::TruncateBatch(0), FaultMode::WidenVerdicts(0)] {
+    for mode in [FaultMode::TruncateBatch(1), FaultMode::WidenVerdicts(1)] {
+        let (model, hold, entered) = gated();
         let engine = ReadoutEngine::with_clock(
-            FaultyDiscriminator::boxed(Box::new(Echo), mode.clone()),
+            FaultyDiscriminator::boxed(Box::new(model), mode.clone()),
             EngineConfig {
                 max_batch: 2,
                 ..EngineConfig::default()
@@ -503,8 +540,12 @@ fn wrong_shape_outputs_fail_tickets_like_a_panic() {
             manual(),
         );
         let session = engine.session();
+        let pinned = session.submit(&trace(3));
+        entered.pass();
         let first = session.submit(&trace(4));
         let second = session.submit(&trace(5));
+        hold.open(); // both queued behind the pin -> one faulty flush
+        assert_eq!(pinned.wait(), vec![0, 0], "{mode:?}");
         // Silently zipping a short batch would strand `second` forever;
         // the worker must treat any shape mismatch as a model fault.
         assert_eq!(first.outcome(), Err(TicketFailed), "{mode:?}");
@@ -544,8 +585,9 @@ fn tickets_are_futures_resolving_to_outcomes() {
 #[test]
 fn latency_counters_read_the_injected_clock() {
     let clock = manual();
+    let (model, hold, entered) = gated();
     let engine = ReadoutEngine::with_clock(
-        Box::new(Echo),
+        Box::new(model),
         EngineConfig {
             max_batch: 2,
             ..EngineConfig::default()
@@ -553,19 +595,24 @@ fn latency_counters_read_the_injected_clock() {
         clock.clone(),
     );
     let session = engine.session();
+    // The worker takes `first` at t=0 and is held inside the model while
+    // the clock moves on and `second` queues at t=100us.
     let first = session.submit(&trace(4));
+    entered.pass();
     clock.advance(Duration::from_micros(100));
-    let second = session.submit(&trace(5)); // fills the batch at t=100us
+    let second = session.submit(&trace(5));
+    hold.open();
     assert_eq!(first.wait(), vec![1, 1]);
     assert_eq!(second.wait(), vec![2, 2]);
     let stats = engine.stats();
-    // first waited the full 100us, second flushed immediately: the
-    // manual clock makes these latencies exact, not approximate.
+    // first resolved at t=100us after the full 100us, second was drained
+    // the moment the worker came free: the manual clock makes these
+    // latencies exact, not approximate.
     assert_eq!(stats.completed, 2);
     assert!((stats.mean_latency_us - 50.0).abs() < 1e-9, "{stats:?}");
     assert!((stats.max_latency_us - 100.0).abs() < 1e-9, "{stats:?}");
-    assert_eq!(stats.flushes, 1);
-    assert!((stats.mean_batch() - 2.0).abs() < 1e-9);
+    assert_eq!(stats.flushes, 2);
+    assert!((stats.mean_batch() - 1.0).abs() < 1e-9);
 }
 
 #[test]
@@ -593,7 +640,6 @@ fn submit_all_matches_per_shot_submission_bit_for_bit() {
         Box::new(model),
         EngineConfig {
             max_batch: 7, // deliberately unaligned with the window size
-            max_delay: Duration::from_micros(50),
             ..EngineConfig::default()
         },
     );
@@ -611,23 +657,18 @@ fn submit_all_matches_per_shot_submission_bit_for_bit() {
 
 #[test]
 fn shared_windows_are_zero_copy_and_bit_identical() {
-    let clock = manual();
-    let engine = ReadoutEngine::with_clock(
-        Box::new(Echo),
-        EngineConfig {
-            max_batch: 64, // larger than the window: only the deadline can flush
-            max_delay: Duration::from_micros(200),
-            ..EngineConfig::default()
-        },
-        clock.clone(),
-    );
+    let (model, hold, entered) = gated();
+    let engine = ReadoutEngine::with_clock(Box::new(model), EngineConfig::default(), manual());
     let traces: Vec<std::sync::Arc<[Complex]>> =
         (1..=6).map(|n| std::sync::Arc::from(trace(n))).collect();
     let borrowed: Vec<&[Complex]> = traces.iter().map(|t| &t[..]).collect();
     let expected = Echo.predict_batch(&borrowed);
 
-    let ticket = engine.session().submit_all_shared(&traces);
-    // The frozen clock pins every shot in the queue, where the engine
+    let session = engine.session();
+    let pinned = session.submit(&trace(9));
+    entered.pass();
+    let ticket = session.submit_all_shared(&traces);
+    // The pinned worker leaves every shot in the queue, where the engine
     // must hold a refcount on the caller's buffer — not a copy of it.
     for t in &traces {
         assert!(
@@ -635,7 +676,8 @@ fn shared_windows_are_zero_copy_and_bit_identical() {
             "queued shared trace should be refcounted by the engine"
         );
     }
-    clock.advance(Duration::from_micros(250));
+    hold.open();
+    assert_eq!(pinned.wait(), vec![0, 0]);
     assert_eq!(
         ticket.wait(),
         expected,
@@ -652,7 +694,6 @@ fn shared_windows_are_zero_copy_and_bit_identical() {
         .session()
         .try_submit_all_shared(&traces)
         .expect("drained queue admits the whole window");
-    clock.advance(Duration::from_micros(250));
     assert_eq!(
         retry.wait(),
         expected,
@@ -662,7 +703,7 @@ fn shared_windows_are_zero_copy_and_bit_identical() {
 
 #[test]
 fn empty_windows_resolve_immediately() {
-    // Frozen clock: nothing can ever flush, so only the
+    // An empty window queues nothing, so only the
     // empty-window-is-already-complete path can resolve these.
     let engine = ReadoutEngine::with_clock(Box::new(Echo), EngineConfig::default(), manual());
     let session = engine.session();
@@ -684,7 +725,6 @@ fn submit_all_chunks_windows_larger_than_the_queue() {
             max_queue: 2,
             standard_watermark: 2,
             bulk_watermark: 1,
-            ..EngineConfig::default()
         },
     );
     let traces: Vec<Vec<Complex>> = (1..=9).map(trace).collect();
@@ -707,7 +747,6 @@ fn try_submit_all_admits_a_prefix_and_sheds_the_rest_typed() {
         max_queue: 8,
         standard_watermark: 6,
         bulk_watermark: 3,
-        ..EngineConfig::default()
     };
     let engine = ReadoutEngine::with_clock(
         Box::new(GatedEcho {
@@ -936,7 +975,6 @@ fn fleet_lazily_loads_saved_models_and_matches_direct() {
     let fleet = FleetEngine::new(FleetConfig {
         engine: EngineConfig {
             max_batch: 7,
-            max_delay: Duration::from_micros(50),
             ..EngineConfig::default()
         },
         model_dir: dir.clone(),

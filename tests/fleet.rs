@@ -64,15 +64,14 @@ fn trace(len: usize) -> Vec<Complex> {
     vec![Complex::ZERO; len]
 }
 
-/// `max_batch` 1 flushes every submission immediately (the batch-full
-/// wake), so a frozen manual clock never blocks progress.
+/// `max_batch` 1 gives every submission a flush of its own, so a fault
+/// counted in flushes lands on exactly the shot a test picks.
 fn tight_config() -> EngineConfig {
     EngineConfig {
         max_batch: 1,
         max_queue: 8,
         standard_watermark: 8,
         bulk_watermark: 8,
-        ..EngineConfig::default()
     }
 }
 
@@ -168,7 +167,6 @@ fn stalled_tenant_sheds_its_own_lane_while_neighbours_serve() {
                 max_queue: 4,
                 standard_watermark: 4,
                 bulk_watermark: 2,
-                ..EngineConfig::default()
             },
             max_models: 2,
             ..FleetConfig::default()
@@ -329,6 +327,49 @@ fn held_tenant_under_shared_pool_never_starves_healthy_fingerprints() {
     let agg = fleet.aggregate_stats();
     assert_eq!(agg.completed, 10);
     assert_eq!(agg.outstanding(), 0);
+}
+
+#[test]
+fn lone_shot_on_a_free_worker_resolves_while_a_neighbour_is_held() {
+    // Default batching policy, frozen clock, two pool threads: one is
+    // pinned inside tenant 0's gated model, and a single shot on tenant 1
+    // must still be drained by the other at once — no batch to fill, no
+    // time to wait out.
+    let hold = Gate::new();
+    let entered = Gate::new();
+    let fleet = FleetEngine::with_clock(
+        FleetConfig {
+            engine: EngineConfig::default(),
+            max_models: 2,
+            workers: 2,
+            ..FleetConfig::default()
+        },
+        Arc::new(ManualClock::new()),
+    );
+    fleet
+        .register(
+            0,
+            Box::new(GatedEcho {
+                hold: Arc::clone(&hold),
+                entered: Arc::clone(&entered),
+            }),
+        )
+        .unwrap();
+    fleet.register(1, Box::new(Echo)).unwrap();
+
+    let held = fleet
+        .session_by_fingerprint(0, Qos::Standard)
+        .unwrap()
+        .submit(&trace(33));
+    entered.pass(); // one pool thread is now pinned inside the model
+
+    let lone = fleet.session_by_fingerprint(1, Qos::Standard).unwrap();
+    assert_eq!(lone.submit(&trace(61)).wait(), vec![61 % 3; 2]);
+    assert_eq!(fleet.stats()[1].stats.flushes, 1);
+
+    hold.open();
+    assert_eq!(held.wait(), vec![0, 0]);
+    assert_eq!(fleet.aggregate_stats().outstanding(), 0);
 }
 
 #[test]

@@ -865,7 +865,6 @@ proptest! {
             Box::new(model.clone()),
             mlr_core::EngineConfig {
                 max_batch: 5, // unaligned with the shot count on purpose
-                max_delay: std::time::Duration::from_micros(100),
                 ..mlr_core::EngineConfig::default()
             },
         );
@@ -917,7 +916,6 @@ proptest! {
         let fleet = mlr_core::FleetEngine::new(mlr_core::FleetConfig {
             engine: mlr_core::EngineConfig {
                 max_batch: 5, // unaligned with the shot count on purpose
-                max_delay: std::time::Duration::from_micros(100),
                 ..mlr_core::EngineConfig::default()
             },
             max_models: tenants.len(),
@@ -1002,7 +1000,6 @@ proptest! {
         let fleet = mlr_core::FleetEngine::new(mlr_core::FleetConfig {
             engine: mlr_core::EngineConfig {
                 max_batch: 5, // unaligned with the window sizes on purpose
-                max_delay: std::time::Duration::from_micros(100),
                 ..mlr_core::EngineConfig::default()
             },
             max_models: tenants.len(),
