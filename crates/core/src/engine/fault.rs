@@ -13,6 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mlr_num::Complex;
 
+use super::lock_recovering;
 use crate::spec::BoxedDiscriminator;
 use crate::Discriminator;
 
@@ -36,18 +37,18 @@ impl Gate {
 
     /// Opens the gate and wakes everything blocked in [`Gate::pass`].
     pub fn open(&self) {
-        *lock(&self.open) = true;
+        *lock_recovering(&self.open) = true;
         self.cv.notify_all();
     }
 
     /// Closes the gate again; subsequent [`Gate::pass`] calls block.
     pub fn close(&self) {
-        *lock(&self.open) = false;
+        *lock_recovering(&self.open) = false;
     }
 
     /// Blocks until the gate is open.
     pub fn pass(&self) {
-        let mut open = lock(&self.open);
+        let mut open = lock_recovering(&self.open);
         while !*open {
             open = self
                 .cv
@@ -55,12 +56,6 @@ impl Gate {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Which fault to inject, and on which `predict_batch` call (0-based —

@@ -41,7 +41,7 @@ use crate::spec::BoxedDiscriminator;
 use crate::DiscriminatorSpec;
 
 use super::pool::WorkerPool;
-use super::{Clock, EngineConfig, EngineStats, Qos, Session, Tenant, WallClock};
+use super::{lock_recovering, Clock, EngineConfig, EngineStats, Qos, Session, Tenant, WallClock};
 
 /// What the fleet does when [`FleetEngine::register`] or a lazy load
 /// needs a slot past [`FleetConfig::max_models`].
@@ -302,26 +302,16 @@ impl FleetEngine {
     /// eviction policy found nothing to retire.
     pub fn register(&self, fingerprint: u64, model: BoxedDiscriminator) -> Result<(), FleetError> {
         let family = model.name().to_owned();
-        let tenant = Tenant::new(model, self.config.engine, Arc::clone(&self.clock));
-        tenant.touch();
         let mut outgoing = Vec::new();
         {
-            let mut tenants = lock(&self.tenants);
+            let mut tenants = lock_recovering(&self.tenants);
             if !tenants.contains_key(&fingerprint) {
                 if let Some(evicted) = self.make_room(&mut tenants)? {
                     outgoing.push(evicted);
                 }
             }
-            if let Some(replaced) = tenants.insert(
-                fingerprint,
-                FleetTenant {
-                    tenant: Arc::clone(&tenant),
-                    family,
-                },
-            ) {
-                outgoing.push(replaced);
-            }
-            self.pool.core().add(fingerprint, tenant);
+            let (_, replaced) = self.install(&mut tenants, fingerprint, model, family);
+            outgoing.extend(replaced);
         }
         for old in outgoing {
             self.retire_tenant(old);
@@ -365,7 +355,7 @@ impl FleetEngine {
         fingerprint: u64,
         qos: Qos,
     ) -> Result<Session, FleetError> {
-        let mut tenants = lock(&self.tenants);
+        let mut tenants = lock_recovering(&self.tenants);
         if let Some(serving) = tenants.get(&fingerprint) {
             serving.tenant.touch();
             return Ok(Session::open(
@@ -385,17 +375,7 @@ impl FleetEngine {
             })
             .map(|model| {
                 let family = model.spec().family_name().to_owned();
-                let tenant =
-                    Tenant::new(Box::new(model), self.config.engine, Arc::clone(&self.clock));
-                tenant.touch();
-                tenants.insert(
-                    fingerprint,
-                    FleetTenant {
-                        tenant: Arc::clone(&tenant),
-                        family,
-                    },
-                );
-                self.pool.core().add(fingerprint, Arc::clone(&tenant));
+                let (tenant, _) = self.install(&mut tenants, fingerprint, Box::new(model), family);
                 Session::open(tenant, self.pool.core(), qos)
             });
         drop(tenants);
@@ -406,6 +386,30 @@ impl FleetEngine {
             self.retire_tenant(old);
         }
         result
+    }
+
+    /// Builds a tenant around `model`, stamps its LRU clock, puts it on
+    /// the roster under `fingerprint` and hands it to the pool, all under
+    /// the caller's fleet lock. Returns the new tenant and whatever entry
+    /// it replaced (the caller retires that one).
+    fn install(
+        &self,
+        tenants: &mut HashMap<u64, FleetTenant>,
+        fingerprint: u64,
+        model: BoxedDiscriminator,
+        family: String,
+    ) -> (Arc<Tenant>, Option<FleetTenant>) {
+        let tenant = Tenant::new(model, self.config.engine, Arc::clone(&self.clock));
+        tenant.touch();
+        let replaced = tenants.insert(
+            fingerprint,
+            FleetTenant {
+                tenant: Arc::clone(&tenant),
+                family,
+            },
+        );
+        self.pool.core().add(fingerprint, Arc::clone(&tenant));
+        (tenant, replaced)
     }
 
     /// Secures one free tenant slot while holding the fleet lock: a no-op
@@ -455,13 +459,13 @@ impl FleetEngine {
         old.tenant.close();
         old.tenant.drain_after_close();
         let snapshot = old.tenant.stats();
-        let mut retired = lock(&self.retired);
+        let mut retired = lock_recovering(&self.retired);
         *retired = retired.merge(&snapshot);
     }
 
     /// Number of models currently served.
     pub fn len(&self) -> usize {
-        lock(&self.tenants).len()
+        lock_recovering(&self.tenants).len()
     }
 
     /// Whether no tenant is serving yet.
@@ -472,7 +476,7 @@ impl FleetEngine {
     /// Per-tenant serving counters, sorted by fingerprint for stable
     /// output.
     pub fn stats(&self) -> Vec<ModelServeStats> {
-        let tenants = lock(&self.tenants);
+        let tenants = lock_recovering(&self.tenants);
         let mut rows: Vec<ModelServeStats> = tenants
             .iter()
             .map(|(&fingerprint, serving)| ModelServeStats {
@@ -490,12 +494,12 @@ impl FleetEngine {
     /// tenant, plus everything retired or evicted since the fleet
     /// started) — the conservation-audit view.
     pub fn aggregate_stats(&self) -> EngineStats {
-        let live = lock(&self.tenants)
+        let live = lock_recovering(&self.tenants)
             .values()
             .fold(EngineStats::default(), |acc, serving| {
                 acc.merge(&serving.tenant.stats())
             });
-        live.merge(&lock(&self.retired))
+        live.merge(&lock_recovering(&self.retired))
     }
 
     /// Retires the tenant serving `fingerprint` (draining its queue on
@@ -504,7 +508,7 @@ impl FleetEngine {
     /// resolve; sessions held on the retired tenant see it as shut down,
     /// and its counters stay in [`FleetEngine::aggregate_stats`].
     pub fn retire(&self, fingerprint: u64) -> bool {
-        let old = lock(&self.tenants).remove(&fingerprint);
+        let old = lock_recovering(&self.tenants).remove(&fingerprint);
         match old {
             Some(old) => {
                 self.pool.core().remove(fingerprint);
@@ -518,9 +522,3 @@ impl FleetEngine {
 
 // Dropping the fleet drops its `WorkerPool`, which closes every roster
 // tenant, flushes the remaining queues, and joins the threads.
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

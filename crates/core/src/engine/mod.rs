@@ -19,7 +19,11 @@
 //! and returns a [`BatchTicket`] that resolves to every verdict in
 //! submission order ([`Session::try_submit_all`] is its non-blocking,
 //! partial-shedding twin). Vectored submission collapses the per-ticket
-//! lock/wake overhead that otherwise caps cheap plan-fused tenants.
+//! lock/wake overhead that otherwise caps cheap plan-fused tenants. The
+//! window is the engine's one unit of submission: a lone shot is a
+//! window of length one, and its [`Ticket`] is a one-shot
+//! [`BatchTicket`] — the same admission code, the same queued job, the
+//! same resolve path.
 //!
 //! Workers live in a shared `pool`: a bounded set of threads drains
 //! every tenant's queue — lane-priority within a tenant, round-robin
@@ -293,12 +297,14 @@ impl fmt::Display for TicketFailed {
 
 impl std::error::Error for TicketFailed {}
 
-/// One queued shot: its sample storage, the slot its verdict lands in,
-/// and when it entered the queue (anchors the latency counters, on the
-/// engine's [`Clock`]).
+/// One queued shot: its sample storage, the window slot its verdict
+/// lands in (`index` of `batch`; a scalar [`Ticket`] is a one-shot
+/// window), and when it entered the queue (anchors the latency counters,
+/// on the engine's [`Clock`]).
 pub(crate) struct Job {
     trace: TraceBuf,
-    slot: VerdictSlot,
+    batch: Arc<BatchState>,
+    index: usize,
     submitted_at: Duration,
 }
 
@@ -321,107 +327,24 @@ impl TraceBuf {
     }
 }
 
-/// Where a flushed job's verdict lands: a scalar [`Ticket`] slot, or one
-/// index of a vectored [`BatchTicket`] window.
-enum VerdictSlot {
-    Single(Arc<TicketState>),
-    Window {
-        batch: Arc<BatchState>,
-        index: usize,
-    },
-}
-
-impl VerdictSlot {
-    fn fail(&self) {
-        match self {
-            VerdictSlot::Single(slot) => slot.fail(),
-            VerdictSlot::Window { batch, .. } => batch.fail(),
-        }
-    }
-}
-
-/// Shared resolution state behind a [`Ticket`].
-struct TicketState {
-    state: Mutex<TicketInner>,
-    ready: Condvar,
-}
-
-impl TicketState {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(TicketInner {
-                verdict: None,
-                waiting: false,
-                failed: false,
-                waker: None,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Resolves the slot with a verdict, waking a blocked or async waiter.
-    fn resolve(&self, verdict: Vec<usize>) {
-        let (waiting, waker) = {
-            let mut inner = lock_recovering(&self.state);
-            inner.verdict = Some(verdict);
-            (inner.waiting, inner.waker.take())
-        };
-        // The wake syscall is only worth it when the holder is (or is
-        // about to be) blocked in `wait`; under bulk submission most
-        // tickets are resolved before anyone waits on them.
-        if waiting {
-            self.ready.notify_all();
-        }
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    /// Marks the slot failed (worker fault), waking any waiter so it can
-    /// propagate instead of hanging.
-    fn fail(&self) {
-        let waker = {
-            let mut inner = lock_recovering(&self.state);
-            inner.failed = true;
-            inner.waker.take()
-        };
-        self.ready.notify_all();
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-}
-
-struct TicketInner {
-    verdict: Option<Vec<usize>>,
-    /// Whether the ticket holder is (about to be) blocked in [`Ticket::wait`];
-    /// lets the resolver skip the wake syscall for tickets nobody is
-    /// waiting on yet — the common case under bulk submission.
-    waiting: bool,
-    /// Set when the worker died (the model panicked or mis-shaped a
-    /// batch) before this shot could be classified; waiters propagate
-    /// instead of hanging.
-    failed: bool,
-    /// Waker of a task awaiting this ticket through its [`Future`] impl.
-    waker: Option<Waker>,
-}
-
 /// A pending verdict for one submitted shot.
 ///
 /// Resolves once the engine's worker has flushed the micro-batch
 /// containing the shot. Consume it synchronously with [`Ticket::wait`] /
 /// [`Ticket::outcome`], peek with [`Ticket::try_wait`], or `.await` it —
-/// a ticket is a [`Future`] (its condvar slot doubles as the waker slot),
-/// which is what the fleet's async front end builds on.
+/// a ticket is a [`Future`], which is what the fleet's async front end
+/// builds on. Under the hood a ticket is a one-shot [`BatchTicket`]: a
+/// lone shot is a window of length one, queued, flushed and resolved on
+/// the same path as every window.
 pub struct Ticket {
-    slot: Arc<TicketState>,
+    window: BatchTicket,
 }
 
 impl fmt::Debug for Ticket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = lock_recovering(&self.slot.state);
+        let inner = lock_recovering(&self.window.slot.state);
         f.debug_struct("Ticket")
-            .field("resolved", &inner.verdict.is_some())
+            .field("resolved", &inner.verdicts[0].is_some())
             .field("failed", &inner.failed)
             .finish()
     }
@@ -452,29 +375,13 @@ impl Ticket {
     /// (`Err`), never panicking: the non-blocking-policy twin of
     /// [`Ticket::wait`].
     pub fn outcome(self) -> Result<Vec<usize>, TicketFailed> {
-        let mut guard = lock_recovering(&self.slot.state);
-        loop {
-            if let Some(verdict) = guard.verdict.take() {
-                return Ok(verdict);
-            }
-            if guard.failed {
-                // Surface the failure outside the lock (see `wait`).
-                drop(guard);
-                return Err(TicketFailed);
-            }
-            guard.waiting = true;
-            guard = self
-                .slot
-                .ready
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        self.window.slot.wait_settled(take_one)
     }
 
     /// Returns a copy of the verdict if it is already available, without
     /// blocking or consuming it — [`Ticket::wait`] still works afterwards.
     pub fn try_wait(&self) -> Option<Vec<usize>> {
-        lock_recovering(&self.slot.state).verdict.clone()
+        lock_recovering(&self.window.slot.state).verdicts[0].clone()
     }
 }
 
@@ -482,15 +389,7 @@ impl Future for Ticket {
     type Output = Result<Vec<usize>, TicketFailed>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = lock_recovering(&self.slot.state);
-        if let Some(verdict) = inner.verdict.take() {
-            return Poll::Ready(Ok(verdict));
-        }
-        if inner.failed {
-            return Poll::Ready(Err(TicketFailed));
-        }
-        inner.waker = Some(cx.waker().clone());
-        Poll::Pending
+        self.window.slot.poll_settled(cx, take_one)
     }
 }
 
@@ -533,8 +432,10 @@ impl BatchState {
     /// Lands a whole run of verdicts from one flush under a single lock
     /// acquisition — a 64-shot flush of one window pays one lock on the
     /// resolve path, not 64 — and wakes the holder only when the last
-    /// slot fills: one wake per window, not per shot.
-    fn resolve_many(&self, run: Vec<(usize, Vec<usize>)>) {
+    /// slot fills: one wake per window, not per shot. The wake syscall is
+    /// skipped unless the holder is (about to be) blocked in `wait`;
+    /// under bulk submission most windows resolve before anyone waits.
+    fn resolve_many(&self, run: impl IntoIterator<Item = (usize, Vec<usize>)>) {
         let (done, waiting, waker) = {
             let mut inner = lock_recovering(&self.state);
             for (index, verdict) in run {
@@ -570,6 +471,62 @@ impl BatchState {
             waker.wake();
         }
     }
+
+    /// Blocks until the window settles: `Ok` with `take` applied to its
+    /// verdict slots once every shot is classified, `Err` once a worker
+    /// fault failed it.
+    fn wait_settled<R>(
+        &self,
+        take: impl FnOnce(&mut [Option<Vec<usize>>]) -> R,
+    ) -> Result<R, TicketFailed> {
+        let mut guard = lock_recovering(&self.state);
+        loop {
+            if guard.failed {
+                // Surface the failure outside the lock (see `Ticket::wait`).
+                drop(guard);
+                return Err(TicketFailed);
+            }
+            if guard.remaining == 0 {
+                return Ok(take(&mut guard.verdicts));
+            }
+            guard.waiting = true;
+            guard = self
+                .ready
+                .wait(guard)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// The [`Future`] form of [`BatchState::wait_settled`]: registers the
+    /// task's waker instead of blocking.
+    fn poll_settled<R>(
+        &self,
+        cx: &mut Context<'_>,
+        take: impl FnOnce(&mut [Option<Vec<usize>>]) -> R,
+    ) -> Poll<Result<R, TicketFailed>> {
+        let mut inner = lock_recovering(&self.state);
+        if inner.failed {
+            return Poll::Ready(Err(TicketFailed));
+        }
+        if inner.remaining == 0 {
+            return Poll::Ready(Ok(take(&mut inner.verdicts)));
+        }
+        inner.waker = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+/// Takes every verdict of a completed window, in submission order.
+fn take_all(verdicts: &mut [Option<Vec<usize>>]) -> Vec<Vec<usize>> {
+    verdicts
+        .iter_mut()
+        .map(|slot| slot.take().unwrap_or_default())
+        .collect()
+}
+
+/// Takes the verdict of a completed one-shot window (a [`Ticket`]).
+fn take_one(verdicts: &mut [Option<Vec<usize>>]) -> Vec<usize> {
+    verdicts[0].take().unwrap_or_default()
 }
 
 /// The pending verdicts for one vectored window submitted with
@@ -633,27 +590,7 @@ impl BatchTicket {
     /// Blocks until the window completes (`Ok`, verdicts in submission
     /// order) or its worker fails (`Err`), never panicking.
     pub fn outcome(self) -> Result<Vec<Vec<usize>>, TicketFailed> {
-        let mut guard = lock_recovering(&self.slot.state);
-        loop {
-            if guard.failed {
-                drop(guard);
-                return Err(TicketFailed);
-            }
-            if guard.remaining == 0 {
-                let verdicts = guard
-                    .verdicts
-                    .iter_mut()
-                    .map(|slot| slot.take().unwrap_or_default())
-                    .collect();
-                return Ok(verdicts);
-            }
-            guard.waiting = true;
-            guard = self
-                .slot
-                .ready
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        self.slot.wait_settled(take_all)
     }
 }
 
@@ -661,20 +598,7 @@ impl Future for BatchTicket {
     type Output = Result<Vec<Vec<usize>>, TicketFailed>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = lock_recovering(&self.slot.state);
-        if inner.failed {
-            return Poll::Ready(Err(TicketFailed));
-        }
-        if inner.remaining == 0 {
-            let verdicts = inner
-                .verdicts
-                .iter_mut()
-                .map(|slot| slot.take().unwrap_or_default())
-                .collect();
-            return Poll::Ready(Ok(verdicts));
-        }
-        inner.waker = Some(cx.waker().clone());
-        Poll::Pending
+        self.slot.poll_settled(cx, take_all)
     }
 }
 
@@ -905,7 +829,7 @@ impl Tenant {
                 .unwrap_or(u64::MAX);
             latency_sum = latency_sum.saturating_add(ns);
             latency_max = latency_max.max(ns);
-            resolved.push((job.slot, verdict));
+            resolved.push((job.batch, job.index, verdict));
             // Shared traces belong to the submitter; only engine-owned
             // buffers go back to the recycle pool.
             if let TraceBuf::Owned(buf) = job.trace {
@@ -934,34 +858,17 @@ impl Tenant {
                 }
             }
         }
-        // Resolve in runs: consecutive shots of the same vectored window
-        // land under one BatchState lock via `resolve_many`; scalar
-        // tickets resolve individually as before.
-        type Run = (Arc<BatchState>, Vec<(usize, Vec<usize>)>);
-        let mut pending: Option<Run> = None;
-        for (slot, verdict) in resolved {
-            match slot {
-                VerdictSlot::Single(ticket) => {
-                    if let Some((prev, run)) = pending.take() {
-                        prev.resolve_many(run);
-                    }
-                    ticket.resolve(verdict);
-                }
-                VerdictSlot::Window { batch, index } => match &mut pending {
-                    Some((current, run)) if Arc::ptr_eq(current, &batch) => {
-                        run.push((index, verdict));
-                    }
-                    _ => {
-                        if let Some((prev, run)) = pending.take() {
-                            prev.resolve_many(run);
-                        }
-                        pending = Some((batch, vec![(index, verdict)]));
-                    }
-                },
-            }
-        }
-        if let Some((batch, run)) = pending.take() {
-            batch.resolve_many(run);
+        // Resolve in runs: consecutive shots of the same window land under
+        // one BatchState lock via `resolve_many` (a scalar ticket is a
+        // run of one).
+        let mut resolved = resolved.into_iter().peekable();
+        while let Some((batch, index, verdict)) = resolved.next() {
+            let rest = std::iter::from_fn(|| {
+                resolved
+                    .next_if(|(next, ..)| Arc::ptr_eq(next, &batch))
+                    .map(|(_, index, verdict)| (index, verdict))
+            });
+            batch.resolve_many(std::iter::once((index, verdict)).chain(rest));
         }
         // Backpressured submitters move up.
         self.space.notify_all();
@@ -989,7 +896,7 @@ impl Tenant {
             .collect();
         self.stats.record_failed(jobs.len());
         for job in jobs {
-            job.slot.fail();
+            job.batch.fail();
         }
         self.space.notify_all();
     }
@@ -1050,35 +957,9 @@ impl Session {
     /// Panics if the engine has shut down (the [`ReadoutEngine`] was
     /// dropped while this session survived it, or its worker died).
     pub fn submit(&self, raw: &[Complex]) -> Ticket {
-        let slot = TicketState::new();
-        let must_wake = {
-            let mut queue = lock_recovering(&self.tenant.queue);
-            // Backpressure: wait for queue space rather than buffering
-            // without bound (see `EngineConfig::max_queue`).
-            while queue.len >= self.tenant.config.max_queue && !queue.closed {
-                queue = self
-                    .tenant
-                    .space
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            assert!(!queue.closed, "submit on a shut-down ReadoutEngine");
-            let pre = queue.len;
-            let trace = raw.to_buf(&mut queue);
-            let submitted_at = self.stamp_now();
-            self.enqueue(
-                &mut queue,
-                trace,
-                VerdictSlot::Single(Arc::clone(&slot)),
-                submitted_at,
-            );
-            self.tenant.stats.record_submit(self.qos, queue.len);
-            wake_worthy(pre, queue.len)
-        };
-        if must_wake {
-            self.pool.wake_one();
+        Ticket {
+            window: self.submit_all_inner(&[raw]),
         }
-        Ticket { slot }
     }
 
     /// Non-blocking admission-controlled submission: enqueues the trace
@@ -1092,47 +973,9 @@ impl Session {
     /// [`Rejected`] describes why the shot was refused; the caller can
     /// retry later, downgrade, or drop the work.
     pub fn try_submit(&self, raw: &[Complex]) -> Result<Ticket, Rejected> {
-        let slot = TicketState::new();
-        let must_wake = {
-            let mut queue = lock_recovering(&self.tenant.queue);
-            if queue.closed {
-                self.tenant.stats.record_rejected_closed();
-                return Err(if queue.failed {
-                    Rejected::WorkerFailed
-                } else {
-                    Rejected::ShuttingDown
-                });
-            }
-            let depth = queue.len;
-            let watermark = self.tenant.config.watermark(self.qos);
-            if depth >= watermark {
-                self.tenant.stats.record_shed(self.qos);
-                return Err(if depth >= self.tenant.config.max_queue {
-                    Rejected::QueueFull { depth }
-                } else {
-                    Rejected::Shed {
-                        qos: self.qos,
-                        depth,
-                        watermark,
-                    }
-                });
-            }
-            let pre = queue.len;
-            let trace = raw.to_buf(&mut queue);
-            let submitted_at = self.stamp_now();
-            self.enqueue(
-                &mut queue,
-                trace,
-                VerdictSlot::Single(Arc::clone(&slot)),
-                submitted_at,
-            );
-            self.tenant.stats.record_submit(self.qos, queue.len);
-            wake_worthy(pre, queue.len)
-        };
-        if must_wake {
-            self.pool.wake_one();
-        }
-        Ok(Ticket { slot })
+        self.try_submit_all_inner(&[raw])
+            .map(|window| Ticket { window })
+            .map_err(|shed| shed.reason)
     }
 
     /// Vectored submission: enqueues a whole window of shots under one
@@ -1174,6 +1017,8 @@ impl Session {
         while next < window.len() {
             let must_wake = {
                 let mut queue = lock_recovering(&self.tenant.queue);
+                // Backpressure: wait for queue space rather than buffering
+                // without bound (see `EngineConfig::max_queue`).
                 while queue.len >= self.tenant.config.max_queue && !queue.closed {
                     queue = self
                         .tenant
@@ -1188,15 +1033,7 @@ impl Session {
                 let submitted_at = self.stamp_now();
                 for offset in 0..take {
                     let trace = window[next + offset].to_buf(&mut queue);
-                    self.enqueue(
-                        &mut queue,
-                        trace,
-                        VerdictSlot::Window {
-                            batch: Arc::clone(&batch),
-                            index: next + offset,
-                        },
-                        submitted_at,
-                    );
+                    self.enqueue(&mut queue, trace, &batch, next + offset, submitted_at);
                 }
                 next += take;
                 self.tenant.stats.record_submit_n(self.qos, take, queue.len);
@@ -1265,45 +1102,31 @@ impl Session {
                 let submitted_at = self.stamp_now();
                 for (offset, raw) in window.iter().enumerate().take(take) {
                     let trace = raw.to_buf(&mut queue);
-                    self.enqueue(
-                        &mut queue,
-                        trace,
-                        VerdictSlot::Window {
-                            batch: Arc::clone(&batch),
-                            index: offset,
-                        },
-                        submitted_at,
-                    );
+                    self.enqueue(&mut queue, trace, &batch, offset, submitted_at);
                 }
-            }
-            if take > 0 {
                 self.tenant.stats.record_submit_n(self.qos, take, queue.len);
             }
-            let must_wake = wake_worthy(pre, queue.len);
             let ticket = BatchTicket { slot: batch };
-            if take == n {
-                (Ok(ticket), must_wake)
+            let result = if take == n {
+                Ok(ticket)
             } else {
                 self.tenant.stats.record_shed_n(self.qos, n - take);
                 let depth = queue.len;
-                let reason = if depth >= self.tenant.config.max_queue {
-                    Rejected::QueueFull { depth }
-                } else {
-                    Rejected::Shed {
-                        qos: self.qos,
-                        depth,
-                        watermark,
-                    }
-                };
-                (
-                    Err(PartialShed {
-                        admitted: (take > 0).then_some(ticket),
-                        admitted_count: take,
-                        reason,
-                    }),
-                    must_wake,
-                )
-            }
+                Err(PartialShed {
+                    admitted: (take > 0).then_some(ticket),
+                    admitted_count: take,
+                    reason: if depth >= self.tenant.config.max_queue {
+                        Rejected::QueueFull { depth }
+                    } else {
+                        Rejected::Shed {
+                            qos: self.qos,
+                            depth,
+                            watermark,
+                        }
+                    },
+                })
+            };
+            (result, wake_worthy(pre, queue.len))
         };
         if must_wake {
             self.pool.wake_one();
@@ -1319,18 +1142,21 @@ impl Session {
         now
     }
 
-    /// Pushes one job into this session's lane. Callers stamp the clock
-    /// ([`Session::stamp_now`]), record stats and decide the wake.
+    /// Pushes one job, resolving into slot `index` of `batch`, into this
+    /// session's lane. Callers stamp the clock ([`Session::stamp_now`]),
+    /// record stats and decide the wake.
     fn enqueue(
         &self,
         queue: &mut Queue,
         trace: TraceBuf,
-        slot: VerdictSlot,
+        batch: &Arc<BatchState>,
+        index: usize,
         submitted_at: Duration,
     ) {
         queue.lanes[self.qos as usize].push_back(Job {
             trace,
-            slot,
+            batch: Arc::clone(batch),
+            index,
             submitted_at,
         });
         queue.len += 1;

@@ -29,27 +29,16 @@ pub(super) struct StatCells {
 }
 
 impl StatCells {
-    pub(super) fn record_submit(&self, qos: Qos, depth: usize) {
-        self.record_submit_n(qos, 1, depth);
-    }
-
-    /// Counts `n` accepted submissions in one atomic add — the vectored
-    /// submission path pays two atomics per *window*, not two per shot.
+    /// Counts `n` accepted submissions in one atomic add — submission
+    /// pays two atomics per *window* (a lone shot is a window of one),
+    /// not two per shot.
     pub(super) fn record_submit_n(&self, qos: Qos, n: usize, depth: usize) {
         self.submitted[qos as usize].fetch_add(n as u64, Ordering::Relaxed);
         self.max_depth.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    pub(super) fn record_shed(&self, qos: Qos) {
-        self.record_shed_n(qos, 1);
-    }
-
     pub(super) fn record_shed_n(&self, qos: Qos, n: usize) {
         self.shed[qos as usize].fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_rejected_closed(&self) {
-        self.record_rejected_closed_n(1);
     }
 
     pub(super) fn record_rejected_closed_n(&self, n: usize) {
@@ -195,10 +184,10 @@ mod tests {
     #[test]
     fn snapshot_reports_conservation_and_latency() {
         let cells = StatCells::default();
-        cells.record_submit(Qos::Realtime, 1);
-        cells.record_submit(Qos::Standard, 2);
-        cells.record_submit(Qos::Bulk, 3);
-        cells.record_shed(Qos::Bulk);
+        cells.record_submit_n(Qos::Realtime, 1, 1);
+        cells.record_submit_n(Qos::Standard, 1, 2);
+        cells.record_submit_n(Qos::Bulk, 1, 3);
+        cells.record_shed_n(Qos::Bulk, 1);
         cells.record_flush();
         cells.record_completed_batch(2, 40_000, 30_000);
         cells.record_failed(1);

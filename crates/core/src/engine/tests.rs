@@ -300,7 +300,7 @@ fn poisoned_queue_lock_does_not_wedge_later_submitters() {
 fn resolving_a_poisoned_ticket_slot_still_wakes_waiters() {
     // Poison the slot mutex the way a panicking waiter would, then check
     // that the worker-side resolve path and a sibling waiter both recover.
-    let slot = TicketState::new();
+    let slot = BatchState::new(1);
     let poisoner = Arc::clone(&slot);
     let _ = std::thread::spawn(move || {
         let _guard = poisoner.state.lock().unwrap();
@@ -310,9 +310,46 @@ fn resolving_a_poisoned_ticket_slot_still_wakes_waiters() {
     assert!(slot.state.lock().is_err(), "mutex must be poisoned");
 
     let waiter_slot = Arc::clone(&slot);
-    let waiter = std::thread::spawn(move || Ticket { slot: waiter_slot }.outcome());
-    slot.resolve(vec![2, 1]);
+    let waiter = std::thread::spawn(move || {
+        Ticket {
+            window: BatchTicket { slot: waiter_slot },
+        }
+        .outcome()
+    });
+    slot.resolve_many(vec![(0, vec![2, 1])]);
     assert_eq!(waiter.join().expect("waiter thread"), Ok(vec![2, 1]));
+}
+
+#[test]
+fn scalar_tickets_and_a_window_share_one_flush() {
+    // The worker is pinned on a first shot while a scalar `submit`, a
+    // 3-shot window and two back-to-back scalar `try_submit`s queue
+    // behind it, so all six shots drain as one batch. Each one-shot window
+    // is its own resolve run: the adjacent `try_submit` tickets must not
+    // merge, and every verdict must match a direct batch.
+    let (model, hold, entered) = gated();
+    let engine = ReadoutEngine::with_clock(Box::new(model), EngineConfig::default(), manual());
+    let session = engine.session();
+    let pinned = session.submit(&trace(9));
+    entered.pass();
+    let traces: Vec<Vec<Complex>> = (1..=6).map(trace).collect();
+    let shots: Vec<&[Complex]> = traces.iter().map(Vec::as_slice).collect();
+    let scalar = session.submit(shots[0]);
+    let window = session.submit_all(&shots[1..4]);
+    let left = session.try_submit(shots[4]).expect("queue has room");
+    let right = session.try_submit(shots[5]).expect("queue has room");
+    hold.open();
+
+    let expected = Echo.predict_batch(&shots);
+    assert_eq!(pinned.wait(), Echo.predict_shot(&trace(9)));
+    assert_eq!(scalar.wait(), expected[0]);
+    assert_eq!(window.wait(), expected[1..4]);
+    assert_eq!(left.wait(), expected[4]);
+    assert_eq!(right.wait(), expected[5]);
+    let stats = engine.stats();
+    assert_eq!(stats.flushes, 2);
+    assert_eq!(stats.completed, 7);
+    assert_eq!(stats.outstanding(), 0);
 }
 
 #[test]
