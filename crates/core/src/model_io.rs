@@ -115,7 +115,8 @@ impl SavedModel {
     /// The schema version this build writes.
     pub const CURRENT_VERSION: u32 = 1;
 
-    /// Validates internal consistency (counts and dimensions).
+    /// Validates the chip description and internal consistency (counts
+    /// and dimensions).
     ///
     /// # Errors
     ///
@@ -129,6 +130,9 @@ impl SavedModel {
                 Self::CURRENT_VERSION
             )));
         }
+        self.chip
+            .validate()
+            .map_err(|e| ModelIoError::Invalid(format!("chip: {e}")))?;
         let n = self.chip.n_qubits();
         if self.banks.len() != n {
             return Err(ModelIoError::Invalid(format!(
@@ -326,6 +330,18 @@ mod tests {
         let err = OursDiscriminator::try_from(saved).unwrap_err();
         assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("format version"));
+    }
+
+    #[test]
+    fn out_of_range_adc_width_is_rejected() {
+        let (_, ours) = fitted();
+        for bits in [0, 64, 70] {
+            let mut saved = SavedModel::from(&ours);
+            saved.chip.adc_bits = Some(bits);
+            let err = OursDiscriminator::try_from(saved).unwrap_err();
+            assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("adc_bits"), "{err}");
+        }
     }
 
     #[test]

@@ -466,6 +466,8 @@ fn load_v2(value: &JsonValue) -> Result<TrainedModel, ModelIoError> {
             .ok_or_else(|| ModelIoError::Invalid("missing chip".to_owned()))?,
     )
     .map_err(|e| json_shape_error(&e.to_string()))?;
+    chip.validate()
+        .map_err(|e| ModelIoError::Invalid(format!("chip: {e}")))?;
     let levels = match value.get("levels") {
         Some(JsonValue::Number(n)) if *n >= 2.0 && n.fract() == 0.0 => *n as usize,
         _ => return Err(ModelIoError::Invalid("missing levels".to_owned())),
@@ -690,6 +692,22 @@ mod tests {
         let err = load_json(tampered.as_bytes()).unwrap_err();
         assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn envelope_with_bad_adc_width_is_rejected() {
+        let (ds, split) = tiny();
+        let model = fit(&quick_spec(), &ds, &split, 23);
+        let mut buf = Vec::new();
+        model.save_json(&mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        assert!(json.contains("\"adc_bits\":12"), "adc_bits must be present");
+        for bad in ["0", "64", "70"] {
+            let edited = json.replace("\"adc_bits\":12", &format!("\"adc_bits\":{bad}"));
+            let err = load_json(edited.as_bytes()).unwrap_err();
+            assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("adc_bits"), "{err}");
+        }
     }
 
     #[test]

@@ -117,8 +117,9 @@ impl Mlp {
     /// Dense layer primitive: `out = W x + b`, ReLU if `relu`. Scored by
     /// the workspace's shared explicit-SIMD dot ([`crate::dot_f32`]) — the
     /// same kernel the compiled inference plans run on, so layered
-    /// reference paths, training forward passes, and fused plans share one
-    /// arithmetic.
+    /// reference paths and fused plans share one arithmetic (training
+    /// scores its mini-batches through the bit-identical
+    /// [`crate::dot_lanes`]).
     #[inline]
     fn layer_forward(w: &[f32], b: &[f32], x: &[f32], relu: bool, out: &mut Vec<f32>) {
         out.clear();
@@ -295,10 +296,19 @@ impl ForwardScratch {
 
 /// Numerically stable softmax.
 pub(crate) fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = Vec::with_capacity(logits.len());
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// [`softmax`] into a caller-held buffer (cleared first): the same
+/// exponentials, sum and divisions, without the allocations.
+pub(crate) fn softmax_into(logits: &[f32], probs: &mut Vec<f32>) {
     let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&z| (z - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.iter().map(|&e| e / sum).collect()
+    probs.clear();
+    probs.extend(logits.iter().map(|&z| (z - max).exp()));
+    let sum: f32 = probs.iter().sum();
+    probs.iter_mut().for_each(|e| *e /= sum);
 }
 
 /// Argmax over f32 values; ties resolve to the lowest index.

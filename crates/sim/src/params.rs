@@ -86,6 +86,10 @@ pub enum ConfigError {
     /// demodulation cannot separate the channels and the dataset would be
     /// silently degenerate. Holds the colliding qubit indices.
     ToneCollision(usize, usize),
+    /// The ADC resolution is outside `1..=63` bits: zero bits has no
+    /// quantisation levels, and `2^bits` levels must fit a `u64`. Holds
+    /// the rejected width.
+    AdcBits(u32),
 }
 
 impl fmt::Display for ConfigError {
@@ -102,6 +106,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "qubits {a} and {b} have sub-resolution tone separation on the shared feedline"
             ),
+            ConfigError::AdcBits(bits) => {
+                write!(f, "adc_bits must lie in 1..=63, got {bits}")
+            }
         }
     }
 }
@@ -134,7 +141,7 @@ pub struct ChipConfig {
     pub sample_rate_mhz: f64,
     /// Samples per readout trace (the paper uses 500, i.e. 1 µs).
     pub n_samples: usize,
-    /// ADC resolution in bits; `None` disables quantisation.
+    /// ADC resolution in bits, `1..=63`; `None` disables quantisation.
     pub adc_bits: Option<u32>,
     /// ADC full-scale range, in the same units as the signal amplitude.
     pub adc_full_scale: f64,
@@ -337,6 +344,11 @@ impl ChipConfig {
         if self.adc_full_scale <= 0.0 {
             return Err(ConfigError::NonPositive("adc_full_scale"));
         }
+        if let Some(bits) = self.adc_bits {
+            if !(1..64).contains(&bits) {
+                return Err(ConfigError::AdcBits(bits));
+            }
+        }
         for q in &self.qubits {
             if q.t1_ge_us <= 0.0 || q.t1_ef_us <= 0.0 {
                 return Err(ConfigError::NonPositive("t1"));
@@ -513,6 +525,39 @@ mod tests {
         c.validate().unwrap();
         let f: Vec<f64> = c.qubits.iter().map(|q| q.if_freq_mhz).collect();
         assert_eq!(f, vec![-75.0, -25.0, 25.0, 75.0]);
+    }
+
+    #[test]
+    fn zero_adc_bits_are_rejected() {
+        let mut c = ChipConfig::five_qubit_paper();
+        c.adc_bits = Some(0);
+        assert_eq!(c.validate(), Err(ConfigError::AdcBits(0)));
+        assert!(c.validate_for_acquisition().is_err());
+    }
+
+    #[test]
+    fn sixty_four_adc_bits_are_rejected() {
+        let mut c = ChipConfig::five_qubit_paper();
+        c.adc_bits = Some(64);
+        assert_eq!(c.validate(), Err(ConfigError::AdcBits(64)));
+    }
+
+    #[test]
+    fn wrapping_adc_bits_are_rejected() {
+        // 70 bits would wrap the level-count shift to 6 bits.
+        let mut c = ChipConfig::five_qubit_paper();
+        c.adc_bits = Some(70);
+        assert_eq!(c.validate(), Err(ConfigError::AdcBits(70)));
+        assert!(ConfigError::AdcBits(70).to_string().contains("70"));
+    }
+
+    #[test]
+    fn adc_bit_range_edges_are_accepted() {
+        for bits in [Some(1), Some(63), None] {
+            let mut c = ChipConfig::five_qubit_paper();
+            c.adc_bits = bits;
+            assert_eq!(c.validate(), Ok(()), "{bits:?}");
+        }
     }
 
     #[test]

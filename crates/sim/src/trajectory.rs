@@ -46,28 +46,44 @@ pub fn sample_level_timeline(
     rng: &mut impl Rng,
 ) -> Vec<LevelSegment> {
     let mut segments = Vec::with_capacity(2);
+    sample_level_timeline_into(params, initial, duration_us, rng, &mut segments);
+    segments
+}
+
+/// [`sample_level_timeline`] into a caller-held buffer (cleared first) —
+/// the allocation-free form the arena-filling simulator uses. Same draws,
+/// same segments.
+pub(crate) fn sample_level_timeline_into(
+    params: &QubitParams,
+    initial: Level,
+    duration_us: f64,
+    rng: &mut impl Rng,
+    segments: &mut Vec<LevelSegment>,
+) {
+    segments.clear();
     let mut t = 0.0;
     let mut level = initial;
 
     while t < duration_us {
         // Candidate processes from the current level: (rate per us, target).
-        let mut processes: Vec<(f64, Level)> = Vec::with_capacity(3);
-        match level {
-            Level::Ground => {
-                processes.push((params.exc_ge_per_us, Level::Excited));
-                processes.push((params.exc_gf_per_us, Level::Leaked));
-            }
-            Level::Excited => {
-                processes.push((1.0 / params.t1_ge_us, Level::Ground));
-                processes.push((params.exc_ef_per_us, Level::Leaked));
-            }
+        let processes = match level {
+            Level::Ground => [
+                (params.exc_ge_per_us, Level::Excited),
+                (params.exc_gf_per_us, Level::Leaked),
+            ],
+            Level::Excited => [
+                (1.0 / params.t1_ge_us, Level::Ground),
+                (params.exc_ef_per_us, Level::Leaked),
+            ],
             Level::Leaked => {
                 let decay_rate = 1.0 / params.t1_ef_us;
                 let direct = params.direct_leak_decay_prob;
-                processes.push((decay_rate * (1.0 - direct), Level::Excited));
-                processes.push((decay_rate * direct, Level::Ground));
+                [
+                    (decay_rate * (1.0 - direct), Level::Excited),
+                    (decay_rate * direct, Level::Ground),
+                ]
             }
-        }
+        };
 
         // Earliest firing clock wins.
         let mut first: Option<(f64, Level)> = None;
@@ -101,7 +117,6 @@ pub fn sample_level_timeline(
             }
         }
     }
-    segments
 }
 
 /// Steady-state dispersive response of the resonator when the qubit sits in
@@ -122,7 +137,10 @@ pub(crate) fn steady_state(params: &QubitParams, level: Level) -> Complex {
 /// filters key on.
 ///
 /// Writes one complex (I, Q) sample per slot of `out` — the
-/// allocation-free form the arena-filling simulator uses.
+/// allocation-free form the arena-filling simulator uses. The target is
+/// constant over a segment, so its phasor is computed once per segment;
+/// sample `n` belongs to the first segment whose end lies after
+/// `n · dt_us` (the last segment takes every remaining sample).
 pub(crate) fn baseband_response_into(
     params: &QubitParams,
     segments: &[LevelSegment],
@@ -132,16 +150,16 @@ pub(crate) fn baseband_response_into(
     let tau_us = params.ring_up_tau_ns * 1e-3;
     let alpha = (-dt_us / tau_us).exp();
     let mut s = Complex::ZERO;
-    let mut seg_idx = 0;
-    for (n, slot) in out.iter_mut().enumerate() {
-        let t = n as f64 * dt_us;
-        while seg_idx + 1 < segments.len() && t >= segments[seg_idx].end_us {
-            seg_idx += 1;
+    let mut n = 0;
+    for (i, seg) in segments.iter().enumerate() {
+        let last = i + 1 == segments.len();
+        let target = steady_state(params, seg.level);
+        while n < out.len() && (last || (n as f64 * dt_us) < seg.end_us) {
+            // First-order relaxation toward the target over one sample period.
+            s = target + (s - target).scale(alpha);
+            out[n] = s;
+            n += 1;
         }
-        let target = steady_state(params, segments[seg_idx].level);
-        // First-order relaxation toward the target over one sample period.
-        s = target + (s - target).scale(alpha);
-        *slot = s;
     }
 }
 
@@ -164,6 +182,56 @@ mod tests {
         let mut out = vec![Complex::ZERO; n_samples];
         baseband_response_into(params, segments, dt_us, &mut out);
         out
+    }
+
+    #[test]
+    fn segment_boundaries_match_the_per_sample_lookup() {
+        // Boundaries on exact sample times, a zero-length segment and a
+        // window shorter than the timeline: the per-segment loop must
+        // assign every sample to the same level as a per-sample lookup.
+        let params = nominal();
+        let dt_us = 1.0 / 500.0;
+        let at = |n: usize| n as f64 * dt_us;
+        let segs = [
+            LevelSegment {
+                start_us: 0.0,
+                end_us: at(40),
+                level: Level::Excited,
+            },
+            LevelSegment {
+                start_us: at(40),
+                end_us: at(40),
+                level: Level::Leaked,
+            },
+            LevelSegment {
+                start_us: at(40),
+                end_us: at(97),
+                level: Level::Ground,
+            },
+            LevelSegment {
+                start_us: at(97),
+                end_us: at(500),
+                level: Level::Leaked,
+            },
+        ];
+        for n_samples in [30, 40, 41, 97, 300] {
+            let got = baseband_response(&params, &segs, n_samples, dt_us);
+            let alpha = (-dt_us / (params.ring_up_tau_ns * 1e-3)).exp();
+            let mut s = Complex::ZERO;
+            let mut seg_idx = 0;
+            for (n, z) in got.iter().enumerate() {
+                while seg_idx + 1 < segs.len() && at(n) >= segs[seg_idx].end_us {
+                    seg_idx += 1;
+                }
+                let target = steady_state(&params, segs[seg_idx].level);
+                s = target + (s - target).scale(alpha);
+                assert_eq!(
+                    (z.re.to_bits(), z.im.to_bits()),
+                    (s.re.to_bits(), s.im.to_bits()),
+                    "sample {n} of {n_samples}"
+                );
+            }
+        }
     }
 
     #[test]
