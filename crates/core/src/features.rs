@@ -61,6 +61,39 @@ fn joint_baseband(demod: &Demodulator, mix_q: &[(usize, f64)], raw: &[Complex]) 
     out
 }
 
+/// [`joint_baseband`] written straight into the [`iq_features`] layout
+/// (`out[..n]` the I samples, `out[n..]` the Q samples of an `n`-sample
+/// trace), with the same arithmetic per sample, so the same bits.
+fn joint_baseband_iq(
+    demod: &Demodulator,
+    mix_q: &[(usize, f64)],
+    raw: &[Complex],
+    out: &mut [f64],
+) {
+    demod.check_len(raw.len());
+    let (out_i, out_q) = out.split_at_mut(raw.len());
+    if let [(q, alpha)] = mix_q {
+        if *alpha == 1.0 {
+            let samples = raw.iter().zip(demod.reference(*q));
+            for ((re, im), (&s, &r)) in out_i.iter_mut().zip(out_q.iter_mut()).zip(samples) {
+                let z = s * r;
+                (*re, *im) = (z.re, z.im);
+            }
+            return;
+        }
+    }
+    out_i.fill(0.0);
+    out_q.fill(0.0);
+    for &(p, alpha) in mix_q {
+        let samples = raw.iter().zip(demod.reference(p));
+        for ((re, im), (&s, &r)) in out_i.iter_mut().zip(out_q.iter_mut()).zip(samples) {
+            let z = s * r;
+            *re += alpha * z.re;
+            *im += alpha * z.im;
+        }
+    }
+}
+
 /// Contiguous dot product with four independent accumulators, breaking the
 /// FMA latency chain so the compiler can keep SIMD lanes busy. Every
 /// fused-path score — single-shot and batched — goes through this one
@@ -227,13 +260,17 @@ impl FeatureExtractor {
         let levels = dataset.levels();
         let mix = joint_mix(config, joint_neighbors);
 
+        let width = 2 * dataset.n_samples();
         let banks: Option<Vec<QubitMfBank>> = (0..config.n_qubits())
             .into_par_iter()
             .map(|q| {
-                let features: Vec<Vec<f64>> = train_indices
-                    .iter()
-                    .map(|&i| iq_features(&joint_baseband(&demod, &mix[q], dataset.raw(i))))
-                    .collect();
+                // One flat buffer of IQ feature rows per qubit, not two
+                // allocations per shot.
+                let mut flat = vec![0.0; train_indices.len() * width];
+                for (row, &i) in flat.chunks_exact_mut(width).zip(train_indices) {
+                    joint_baseband_iq(&demod, &mix[q], dataset.raw(i), row);
+                }
+                let features: Vec<&[f64]> = flat.chunks_exact(width).collect();
                 let labels: Vec<usize> =
                     train_indices.iter().map(|&i| dataset.label(i, q)).collect();
                 QubitMfBank::fit(&features, &labels, levels, include_emf, kind)
@@ -481,6 +518,32 @@ mod tests {
         c.n_samples = 60;
         // Boost leakage so every level is present with few shots.
         TraceDataset::generate(&c, 3, 6, 13)
+    }
+
+    #[test]
+    fn joint_baseband_iq_matches_the_allocating_path_bit_for_bit() {
+        let ds = small_dataset();
+        let chip = ds.config();
+        let demod = Demodulator::new(chip);
+        // The identity recipe and a two-neighbour de-mixing recipe.
+        for joint_neighbors in [0, 2] {
+            let mix = joint_mix(chip, joint_neighbors);
+            for (q, mix_q) in mix.iter().enumerate() {
+                for i in [0, 7, ds.len() - 1] {
+                    let raw = ds.raw(i);
+                    let want = iq_features(&joint_baseband(&demod, mix_q, raw));
+                    // Stale contents must not leak into the mixed sum.
+                    let mut got = vec![f64::NAN; 2 * raw.len()];
+                    joint_baseband_iq(&demod, mix_q, raw, &mut got);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "q {q} shot {i} radius {joint_neighbors}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-qubit matched-filter banks: QMF, RMF and EMF (Table III).
 
 use mlr_dsp::{MatchedFilter, MatchedFilterKind};
-use mlr_num::Complex;
+use mlr_num::{Complex, RunningStats};
 use serde::{Deserialize, Serialize};
 
 /// What a filter in the bank is matched to (Table III of the paper).
@@ -71,6 +71,11 @@ impl QubitMfBank {
     ///
     /// `features[i]` must be the [`mlr_dsp::iq_features`] layout of the
     /// qubit's demodulated trace `i`; `labels[i]` its level (`< levels`).
+    /// Each class of traces (every level, every level's clean traces, and
+    /// every error set a filter uses) is summarised once, in index order,
+    /// and every filter is fit from those summaries with
+    /// [`MatchedFilter::from_stats`]: the same kernels as fitting each
+    /// filter from its two trace sets, bit for bit.
     ///
     /// Returns `None` if any level has no traces at all (the bank would be
     /// underdetermined).
@@ -78,8 +83,8 @@ impl QubitMfBank {
     /// # Panics
     ///
     /// Panics on length mismatch or labels `>= levels`.
-    pub fn fit(
-        features: &[Vec<f64>],
+    pub fn fit<F: AsRef<[f64]>>(
+        features: &[F],
         labels: &[usize],
         levels: usize,
         include_emf: bool,
@@ -106,7 +111,7 @@ impl QubitMfBank {
             let q_mean = f[half..].iter().sum::<f64>() / half as f64;
             [i_mean, q_mean]
         };
-        let mtvs: Vec<[f64; 2]> = features.iter().map(|f| mtv(f)).collect();
+        let mtvs: Vec<[f64; 2]> = features.iter().map(|f| mtv(f.as_ref())).collect();
         let centroids: Vec<[f64; 2]> = by_level
             .iter()
             .map(|idxs| {
@@ -149,27 +154,40 @@ impl QubitMfBank {
             }
         }
 
-        let fit_mf = |class0: &[usize], class1: &[usize]| -> Option<MatchedFilter> {
-            MatchedFilter::fit(
-                class0.iter().map(|&i| features[i].as_slice()),
-                class1.iter().map(|&i| features[i].as_slice()),
-                kind,
-            )
+        let stats_of = |idxs: &[usize]| -> Option<RunningStats> {
+            let mut stats = RunningStats::new(features[*idxs.first()?].as_ref().len());
+            for &i in idxs {
+                stats.push(features[i].as_ref());
+            }
+            Some(stats)
         };
+        let level_stats: Vec<RunningStats> = by_level
+            .iter()
+            .map(|idxs| stats_of(idxs))
+            .collect::<Option<_>>()?;
+        // A level whose clean set is all of its traces (none tagged as
+        // errors, or every one) reuses its level summary below.
+        let mut clean_stats: Vec<Option<RunningStats>> = vec![None; levels];
 
         let mut filters = Vec::new();
         for role in FilterRole::canonical_set(levels, include_emf) {
             let mf = match role {
-                FilterRole::Qubit(a, b) => fit_mf(&by_level[a], &by_level[b])?,
+                FilterRole::Qubit(a, b) => {
+                    MatchedFilter::from_stats(&level_stats[a], &level_stats[b], kind)?
+                }
                 FilterRole::Relaxation(a, b) | FilterRole::Excitation(a, b) => {
                     let err = &errors[a][b];
                     if err.len() >= Self::MIN_ERROR_TRACES {
-                        fit_mf(&clean[a], err)?
+                        if clean_stats[a].is_none() && clean[a].len() != by_level[a].len() {
+                            clean_stats[a] = stats_of(&clean[a]);
+                        }
+                        let clean_a = clean_stats[a].as_ref().unwrap_or(&level_stats[a]);
+                        MatchedFilter::from_stats(clean_a, &stats_of(err)?, kind)?
                     } else {
                         // Fallback: the pairwise QMF kernel carries the same
                         // directional information.
                         let (lo, hi) = (a.min(b), a.max(b));
-                        fit_mf(&by_level[lo], &by_level[hi])?
+                        MatchedFilter::from_stats(&level_stats[lo], &level_stats[hi], kind)?
                     }
                 }
             };
@@ -292,6 +310,179 @@ mod tests {
             labels.push(1);
         }
         (features, labels)
+    }
+
+    /// The per-filter fit this module used before each class was summarised
+    /// once: every filter pushes its two trace sets through
+    /// [`MatchedFilter::fit`]. Also tallies the error sets that got a
+    /// dedicated kernel and the non-empty ones that fell back, so tests can
+    /// show both paths ran.
+    fn per_filter_fit(
+        features: &[Vec<f64>],
+        labels: &[usize],
+        levels: usize,
+        include_emf: bool,
+        kind: MatchedFilterKind,
+        tally: &mut [usize; 2],
+    ) -> Option<QubitMfBank> {
+        let by_level: Vec<Vec<usize>> = (0..levels)
+            .map(|l| (0..labels.len()).filter(|&i| labels[i] == l).collect())
+            .collect();
+        if by_level.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let mtv = |f: &[f64]| -> [f64; 2] {
+            let half = f.len() / 2;
+            let i_mean = f[..half].iter().sum::<f64>() / half as f64;
+            let q_mean = f[half..].iter().sum::<f64>() / half as f64;
+            [i_mean, q_mean]
+        };
+        let mtvs: Vec<[f64; 2]> = features.iter().map(|f| mtv(f)).collect();
+        let centroids: Vec<[f64; 2]> = by_level
+            .iter()
+            .map(|idxs| {
+                let n = idxs.len() as f64;
+                let mut c = [0.0; 2];
+                for &i in idxs {
+                    c[0] += mtvs[i][0];
+                    c[1] += mtvs[i][1];
+                }
+                [c[0] / n, c[1] / n]
+            })
+            .collect();
+        let nearest = |p: [f64; 2]| -> usize {
+            let mut best = (0usize, f64::INFINITY);
+            for (l, c) in centroids.iter().enumerate() {
+                let d = (p[0] - c[0]).powi(2) + (p[1] - c[1]).powi(2);
+                if d < best.1 {
+                    best = (l, d);
+                }
+            }
+            best.0
+        };
+        let mut clean: Vec<Vec<usize>> = vec![Vec::new(); levels];
+        let mut errors: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); levels]; levels];
+        for (l, idxs) in by_level.iter().enumerate() {
+            for &i in idxs {
+                let tag = nearest(mtvs[i]);
+                if tag == l {
+                    clean[l].push(i);
+                } else {
+                    errors[l][tag].push(i);
+                }
+            }
+            if clean[l].is_empty() {
+                clean[l] = idxs.clone();
+            }
+        }
+        let fit_mf = |class0: &[usize], class1: &[usize]| -> Option<MatchedFilter> {
+            MatchedFilter::fit(
+                class0.iter().map(|&i| features[i].as_slice()),
+                class1.iter().map(|&i| features[i].as_slice()),
+                kind,
+            )
+        };
+        let mut filters = Vec::new();
+        for role in FilterRole::canonical_set(levels, include_emf) {
+            let mf = match role {
+                FilterRole::Qubit(a, b) => fit_mf(&by_level[a], &by_level[b])?,
+                FilterRole::Relaxation(a, b) | FilterRole::Excitation(a, b) => {
+                    let err = &errors[a][b];
+                    if err.len() >= QubitMfBank::MIN_ERROR_TRACES {
+                        tally[0] += 1;
+                        fit_mf(&clean[a], err)?
+                    } else {
+                        tally[1] += usize::from(!err.is_empty());
+                        let (lo, hi) = (a.min(b), a.max(b));
+                        fit_mf(&by_level[lo], &by_level[hi])?
+                    }
+                }
+            };
+            filters.push((role, mf));
+        }
+        Some(QubitMfBank { filters, levels })
+    }
+
+    /// Fits both ways and demands the same roles, kernels and thresholds,
+    /// bit for bit.
+    fn assert_fit_matches_per_filter_fit(
+        features: &[Vec<f64>],
+        labels: &[usize],
+        levels: usize,
+        tally: &mut [usize; 2],
+    ) {
+        for include_emf in [true, false] {
+            for kind in [
+                MatchedFilterKind::VarianceSum,
+                MatchedFilterKind::PaperVarianceDiff,
+            ] {
+                let want = per_filter_fit(features, labels, levels, include_emf, kind, tally)
+                    .expect("every level present");
+                let got = QubitMfBank::fit(features, labels, levels, include_emf, kind)
+                    .expect("every level present");
+                assert_eq!(got.roles(), want.roles());
+                for ((role, g), (_, w)) in got.filters.iter().zip(&want.filters) {
+                    let bits = |f: &MatchedFilter| {
+                        let mut b: Vec<u64> = f.kernel().iter().map(|k| k.to_bits()).collect();
+                        b.push(f.threshold().to_bits());
+                        b
+                    };
+                    assert_eq!(bits(g), bits(w), "{role:?} emf={include_emf} {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_per_filter_fit_on_generated_traces() {
+        use mlr_sim::{ChipConfig, TraceDataset};
+        let mut chip = ChipConfig::five_qubit_paper();
+        chip.n_samples = 120;
+        let ds = TraceDataset::generate(&chip, 3, 2, 17);
+        let demod = mlr_dsp::Demodulator::new(&chip);
+        let mut tally = [0usize; 2];
+        for q in 0..chip.n_qubits() {
+            let features: Vec<Vec<f64>> = (0..ds.len())
+                .map(|i| mlr_dsp::iq_features(&demod.demodulate(ds.raw(i), q)))
+                .collect();
+            let labels: Vec<usize> = (0..ds.len()).map(|i| ds.label(i, q)).collect();
+            assert_fit_matches_per_filter_fit(&features, &labels, 3, &mut tally);
+        }
+        // Both error-filter paths ran: dedicated kernels from >= 6 tagged
+        // traces, and the QMF fallback for a non-empty smaller set.
+        assert!(tally[0] > 0 && tally[1] > 0, "tally {tally:?}");
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_per_filter_fit_on_synthetic_edges() {
+        let mut tally = [0usize; 2];
+        // Eight decayed level-1 traces: a dedicated RMF(1, 0).
+        let (features, labels) = synthetic();
+        assert_fit_matches_per_filter_fit(&features, &labels, 3, &mut tally);
+        // Three of them: below MIN_ERROR_TRACES, so the QMF fallback.
+        let keep = 63;
+        assert_fit_matches_per_filter_fit(&features[..keep], &labels[..keep], 3, &mut tally);
+        assert!(tally[0] > 0 && tally[1] > 0, "tally {tally:?}");
+        // Level 1 split between levels 0 and 2: every level-1 trace is
+        // tagged as an error, so its clean set falls back to all of its
+        // traces while both of its error sets get dedicated kernels.
+        let trace = |i_val: f64| -> Vec<f64> {
+            let mut f = vec![i_val; 8];
+            f.extend(vec![-i_val; 8]);
+            f
+        };
+        let mut features = Vec::new();
+        let mut labels = Vec::new();
+        for k in 0..12 {
+            let jitter = (k as f64 * 0.37).fract() * 0.05;
+            for (level, i_val) in [(0, 0.0), (2, 2.0), (1, 0.1), (1, 1.9)] {
+                features.push(trace(i_val + jitter));
+                labels.push(level);
+            }
+        }
+        let mut split = [0usize; 2];
+        assert_fit_matches_per_filter_fit(&features, &labels, 3, &mut split);
+        assert!(split[0] > 0, "split {split:?}");
     }
 
     #[test]

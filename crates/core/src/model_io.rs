@@ -345,6 +345,31 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_chip_is_rejected() {
+        let (_, ours) = fitted();
+        for x in [f64::NAN, f64::INFINITY] {
+            let mut saved = SavedModel::from(&ours);
+            saved.chip.rx_noise = x;
+            let err = OursDiscriminator::try_from(saved).unwrap_err();
+            assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("rx_noise must be finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn infinite_t1_survives_a_json_round_trip() {
+        // t1 = +inf is a legal "no decay" lifetime, so a saved chip must
+        // load back with it.
+        let (_, ours) = fitted();
+        let mut saved = SavedModel::from(&ours);
+        saved.chip.qubits[0].t1_ge_us = f64::INFINITY;
+        let json = serde_json::to_string(&saved).unwrap();
+        let back: SavedModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.chip.qubits[0].t1_ge_us, f64::INFINITY);
+        OursDiscriminator::try_from(back).expect("an infinite lifetime is valid");
+    }
+
+    #[test]
     fn truncated_heads_are_rejected() {
         let (_, ours) = fitted();
         let mut saved = SavedModel::from(&ours);

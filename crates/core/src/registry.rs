@@ -711,6 +711,26 @@ mod tests {
     }
 
     #[test]
+    fn envelope_with_non_finite_chip_is_rejected() {
+        let (ds, split) = tiny();
+        let model = fit(&quick_spec(), &ds, &split, 23);
+        let mut buf = Vec::new();
+        model.save_json(&mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        // JSON has no NaN or inf, but an out-of-range literal parses to inf.
+        let key = "\"amplitude\":";
+        let at = json.find(key).expect("amplitude must be present") + key.len();
+        let end = at + json[at..].find([',', '}']).unwrap();
+        let edited = format!("{}1e999{}", &json[..at], &json[end..]);
+        let err = load_json(edited.as_bytes()).unwrap_err();
+        assert!(matches!(err, ModelIoError::Invalid(_)), "{err}");
+        assert!(
+            err.to_string().contains("amplitude must be finite"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn family_tag_must_match_spec() {
         let (ds, split) = tiny();
         let model = fit(&quick_spec(), &ds, &split, 23);

@@ -96,8 +96,11 @@ impl Welford {
 
 /// Per-dimension running statistics over fixed-length vectors.
 ///
-/// One [`Welford`] accumulator per element of the vector; `push` requires the
-/// same length every time.
+/// [`Welford`]'s update applied to every element of the vector, stored as
+/// arrays (one shared count, one `mean` and one `m2` per element) so that
+/// `push` runs as one vectorisable pass. Each element sees exactly the
+/// arithmetic of its own [`Welford`], bit for bit. `push` requires the same
+/// length every time.
 ///
 /// # Examples
 ///
@@ -111,14 +114,18 @@ impl Welford {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
-    dims: Vec<Welford>,
+    count: u64,
+    mean: Vec<f64>,
+    m2: Vec<f64>,
 }
 
 impl RunningStats {
     /// Creates statistics over `len`-dimensional vectors.
     pub fn new(len: usize) -> Self {
         Self {
-            dims: vec![Welford::new(); len],
+            count: 0,
+            mean: vec![0.0; len],
+            m2: vec![0.0; len],
         }
     }
 
@@ -128,47 +135,77 @@ impl RunningStats {
     ///
     /// Panics if `x.len()` differs from the length given at construction.
     pub fn push(&mut self, x: &[f64]) {
-        assert_eq!(x.len(), self.dims.len(), "dimension mismatch");
-        for (w, &v) in self.dims.iter_mut().zip(x) {
-            w.push(v);
+        assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
+        self.count += 1;
+        let n = self.count as f64;
+        for ((mean, m2), &v) in self.mean.iter_mut().zip(&mut self.m2).zip(x) {
+            let delta = v - *mean;
+            *mean += delta / n;
+            *m2 += delta * (v - *mean);
         }
     }
 
     /// Number of observation vectors pushed.
     pub fn count(&self) -> u64 {
-        self.dims.first().map_or(0, Welford::count)
+        self.count
     }
 
     /// Dimensionality of the tracked vectors.
     pub fn len(&self) -> usize {
-        self.dims.len()
+        self.mean.len()
     }
 
     /// Returns `true` if tracking zero-dimensional vectors.
     pub fn is_empty(&self) -> bool {
-        self.dims.is_empty()
+        self.mean.is_empty()
     }
 
     /// Per-dimension sample means.
     pub fn means(&self) -> Vec<f64> {
-        self.dims.iter().map(Welford::mean).collect()
+        self.mean.clone()
     }
 
-    /// Per-dimension unbiased sample variances.
+    /// Per-dimension unbiased sample variances (`n - 1` denominator);
+    /// zeros with fewer than two observations.
     pub fn variances(&self) -> Vec<f64> {
-        self.dims.iter().map(Welford::variance).collect()
+        if self.count < 2 {
+            return vec![0.0; self.mean.len()];
+        }
+        let denom = (self.count - 1) as f64;
+        self.m2.iter().map(|m2| m2 / denom).collect()
     }
 
-    /// Merges another accumulator of the same dimensionality.
+    /// Merges another accumulator of the same dimensionality, as if all of
+    /// `other`'s observations had been pushed here ([`Welford::merge`] per
+    /// element).
     ///
     /// # Panics
     ///
     /// Panics on dimensionality mismatch.
     pub fn merge(&mut self, other: &RunningStats) {
-        assert_eq!(self.dims.len(), other.dims.len(), "dimension mismatch");
-        for (a, b) in self.dims.iter_mut().zip(&other.dims) {
-            a.merge(b);
+        assert_eq!(self.mean.len(), other.mean.len(), "dimension mismatch");
+        if other.count == 0 {
+            return;
         }
+        if self.count == 0 {
+            self.clone_from(other);
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let total = n1 + n2;
+        for (((mean, m2), &other_mean), &other_m2) in self
+            .mean
+            .iter_mut()
+            .zip(&mut self.m2)
+            .zip(&other.mean)
+            .zip(&other.m2)
+        {
+            let delta = other_mean - *mean;
+            *mean += delta * n2 / total;
+            *m2 += other_m2 + delta * delta * n1 * n2 / total;
+        }
+        self.count += other.count;
     }
 }
 
@@ -320,6 +357,83 @@ mod tests {
         assert!((vars[0] - 4.0).abs() < 1e-12);
         assert_eq!(vars[1], 0.0);
         assert!((vars[2] - 1.0).abs() < 1e-12);
+    }
+
+    /// Awkward values for the oracle: mixed signs and scales, repeats, a
+    /// large offset that makes cancellation visible.
+    fn ragged_rows(rows: usize, dims: usize, salt: u64) -> Vec<Vec<f64>> {
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..rows)
+            .map(|_| {
+                (0..dims)
+                    .map(|d| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                        (u - 0.5) * 10f64.powi(d as i32 % 5 - 2) + 1e3 * (d % 3) as f64
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Reference: one `Welford` per dimension, fed element by element.
+    fn per_dimension(rows: &[Vec<f64>], dims: usize) -> Vec<Welford> {
+        let mut ws = vec![Welford::new(); dims];
+        for row in rows {
+            for (w, &x) in ws.iter_mut().zip(row) {
+                w.push(x);
+            }
+        }
+        ws
+    }
+
+    fn assert_same_bits(stats: &RunningStats, ws: &[Welford]) {
+        let bits = |xs: Vec<f64>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(stats.count(), ws[0].count());
+        assert_eq!(
+            bits(stats.means()),
+            bits(ws.iter().map(Welford::mean).collect())
+        );
+        assert_eq!(
+            bits(stats.variances()),
+            bits(ws.iter().map(Welford::variance).collect())
+        );
+    }
+
+    #[test]
+    fn running_stats_matches_per_dimension_welford_bit_for_bit() {
+        // 13 dimensions: not a multiple of any SIMD width.
+        let dims = 13;
+        for rows in [1usize, 2, 3, 57] {
+            let data = ragged_rows(rows, dims, rows as u64);
+            let mut stats = RunningStats::new(dims);
+            for row in &data {
+                stats.push(row);
+            }
+            assert_same_bits(&stats, &per_dimension(&data, dims));
+        }
+    }
+
+    #[test]
+    fn running_stats_merge_matches_per_dimension_welford_bit_for_bit() {
+        let dims = 13;
+        for (na, nb) in [(0usize, 5usize), (5, 0), (1, 1), (40, 17), (3, 90)] {
+            let a = ragged_rows(na, dims, 100 + na as u64);
+            let b = ragged_rows(nb, dims, 200 + nb as u64);
+            let mut sa = RunningStats::new(dims);
+            a.iter().for_each(|row| sa.push(row));
+            let mut sb = RunningStats::new(dims);
+            b.iter().for_each(|row| sb.push(row));
+            sa.merge(&sb);
+
+            let mut wa = per_dimension(&a, dims);
+            for (w, o) in wa.iter_mut().zip(&per_dimension(&b, dims)) {
+                w.merge(o);
+            }
+            assert_same_bits(&sa, &wa);
+        }
     }
 
     #[test]

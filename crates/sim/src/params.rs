@@ -90,6 +90,9 @@ pub enum ConfigError {
     /// quantisation levels, and `2^bits` levels must fit a `u64`. Holds
     /// the rejected width.
     AdcBits(u32),
+    /// A numeric field is NaN or infinite (message names the field). The
+    /// one exception is a lifetime: `t1_* = +inf` means "no decay".
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -109,6 +112,7 @@ impl fmt::Display for ConfigError {
             ConfigError::AdcBits(bits) => {
                 write!(f, "adc_bits must lie in 1..=63, got {bits}")
             }
+            ConfigError::NonFinite(field) => write!(f, "{field} must be finite"),
         }
     }
 }
@@ -325,6 +329,7 @@ impl ChipConfig {
         if self.crosstalk.len() != n || self.crosstalk.iter().any(|row| row.len() != n) {
             return Err(ConfigError::CrosstalkShape);
         }
+        self.check_finite()?;
         if self.n_samples == 0 || self.sample_rate_mhz <= 0.0 {
             return Err(ConfigError::EmptyTrace);
         }
@@ -370,6 +375,47 @@ impl ChipConfig {
             }
         }
         Ok(())
+    }
+
+    /// Rejects NaN and ±inf in every `f64` field, naming the first one.
+    /// A lifetime may be `+inf` (no decay: its rate is 0); the
+    /// range checks in [`ChipConfig::validate`] still see every value.
+    fn check_finite(&self) -> Result<(), ConfigError> {
+        let finite = |x: f64, field: &'static str| {
+            if x.is_finite() {
+                Ok(())
+            } else {
+                Err(ConfigError::NonFinite(field))
+            }
+        };
+        let lifetime = |x: f64, field| {
+            if x == f64::INFINITY {
+                Ok(())
+            } else {
+                finite(x, field)
+            }
+        };
+        for q in &self.qubits {
+            lifetime(q.t1_ge_us, "t1_ge_us")?;
+            lifetime(q.t1_ef_us, "t1_ef_us")?;
+            finite(q.direct_leak_decay_prob, "direct_leak_decay_prob")?;
+            finite(q.exc_ge_per_us, "exc_ge_per_us")?;
+            finite(q.exc_gf_per_us, "exc_gf_per_us")?;
+            finite(q.exc_ef_per_us, "exc_ef_per_us")?;
+            finite(q.prep_leak_prob, "prep_leak_prob")?;
+            finite(q.amplitude, "amplitude")?;
+            for &phase in &q.phase_deg {
+                finite(phase, "phase_deg")?;
+            }
+            finite(q.ring_up_tau_ns, "ring_up_tau_ns")?;
+            finite(q.if_freq_mhz, "if_freq_mhz")?;
+        }
+        for &beta in self.crosstalk.iter().flatten() {
+            finite(beta, "crosstalk")?;
+        }
+        finite(self.rx_noise, "rx_noise")?;
+        finite(self.sample_rate_mhz, "sample_rate_mhz")?;
+        finite(self.adc_full_scale, "adc_full_scale")
     }
 
     /// [`ChipConfig::validate`] plus the acquisition-time tone-resolution
@@ -557,6 +603,88 @@ mod tests {
             let mut c = ChipConfig::five_qubit_paper();
             c.adc_bits = bits;
             assert_eq!(c.validate(), Ok(()), "{bits:?}");
+        }
+    }
+
+    /// One test per `f64` field: NaN, `+inf` and `-inf` are each a typed
+    /// [`ConfigError::NonFinite`] naming the field, from `validate` and
+    /// from `validate_for_acquisition`.
+    macro_rules! non_finite_is_rejected {
+        ($($name:ident: $field:literal => |$c:ident, $x:ident| $set:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                for $x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut $c = ChipConfig::five_qubit_paper();
+                    $set;
+                    assert_eq!($c.validate(), Err(ConfigError::NonFinite($field)), "{}", $x);
+                    assert_eq!(
+                        $c.validate_for_acquisition(),
+                        Err(ConfigError::NonFinite($field)),
+                        "{}",
+                        $x
+                    );
+                }
+            }
+        )*};
+    }
+
+    non_finite_is_rejected! {
+        non_finite_rx_noise_is_rejected: "rx_noise" => |c, x| c.rx_noise = x;
+        non_finite_sample_rate_is_rejected: "sample_rate_mhz" => |c, x| c.sample_rate_mhz = x;
+        non_finite_adc_full_scale_is_rejected: "adc_full_scale" => |c, x| c.adc_full_scale = x;
+        non_finite_crosstalk_is_rejected: "crosstalk" => |c, x| c.crosstalk[1][2] = x;
+        non_finite_direct_leak_decay_prob_is_rejected: "direct_leak_decay_prob"
+            => |c, x| c.qubits[2].direct_leak_decay_prob = x;
+        non_finite_exc_ge_is_rejected: "exc_ge_per_us" => |c, x| c.qubits[0].exc_ge_per_us = x;
+        non_finite_exc_gf_is_rejected: "exc_gf_per_us" => |c, x| c.qubits[3].exc_gf_per_us = x;
+        non_finite_exc_ef_is_rejected: "exc_ef_per_us" => |c, x| c.qubits[4].exc_ef_per_us = x;
+        non_finite_prep_leak_prob_is_rejected: "prep_leak_prob"
+            => |c, x| c.qubits[1].prep_leak_prob = x;
+        non_finite_amplitude_is_rejected: "amplitude" => |c, x| c.qubits[1].amplitude = x;
+        non_finite_phase_is_rejected: "phase_deg" => |c, x| c.qubits[2].phase_deg[1] = x;
+        non_finite_ring_up_tau_is_rejected: "ring_up_tau_ns" => |c, x| c.qubits[0].ring_up_tau_ns = x;
+        non_finite_if_freq_is_rejected: "if_freq_mhz" => |c, x| c.qubits[3].if_freq_mhz = x;
+    }
+
+    #[test]
+    fn nan_or_negative_infinite_t1_is_rejected() {
+        for x in [f64::NAN, f64::NEG_INFINITY] {
+            let mut c = ChipConfig::five_qubit_paper();
+            c.qubits[3].t1_ge_us = x;
+            assert_eq!(c.validate(), Err(ConfigError::NonFinite("t1_ge_us")), "{x}");
+            let mut c = ChipConfig::five_qubit_paper();
+            c.qubits[3].t1_ef_us = x;
+            assert_eq!(c.validate(), Err(ConfigError::NonFinite("t1_ef_us")), "{x}");
+        }
+        assert!(ConfigError::NonFinite("t1_ge_us")
+            .to_string()
+            .contains("t1_ge_us must be finite"));
+    }
+
+    #[test]
+    fn infinite_t1_means_no_decay() {
+        use crate::{BasisState, Level, ReadoutSimulator};
+        use rand::SeedableRng;
+        let mut c = ChipConfig::five_qubit_paper();
+        c.n_samples = 100;
+        for q in &mut c.qubits {
+            q.t1_ge_us = f64::INFINITY;
+            q.t1_ef_us = f64::INFINITY;
+        }
+        assert_eq!(c.validate_for_acquisition(), Ok(()));
+        let sim = ReadoutSimulator::new(c);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for state in [Level::Excited, Level::Leaked] {
+            for _ in 0..50 {
+                let shot = sim.simulate_shot(&BasisState::uniform(5, state), &mut rng);
+                assert!(shot
+                    .raw
+                    .iter()
+                    .all(|z| z.re.is_finite() && z.im.is_finite()));
+                // Only measurement-induced excitations remain: no level
+                // ever goes down.
+                assert!(shot.events.iter().all(|e| !e.is_relaxation()));
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use crate::{BasisState, ChipConfig, Level, Shot, ShotRecord, TransitionEvent};
 /// (new physics, different draw order, RNG swap): it is folded into
 /// [`crate::DatasetSpec`] fingerprints, so stale binary dataset caches
 /// miss instead of silently serving pre-change traces to repro binaries.
-pub const SIMULATOR_REVISION: u32 = 1;
+pub const SIMULATOR_REVISION: u32 = 2;
 
 /// Reusable per-worker scratch memory for [`ReadoutSimulator::simulate_shot_into`]:
 /// the per-qubit baseband responses of one shot (flattened qubit-major),

@@ -5,8 +5,9 @@
 //! The build image has no registry access, so the real crate cannot be
 //! fetched. Numbers serialise through `f64` with round-trip formatting
 //! (integers without a decimal point, everything else via Rust's
-//! shortest-representation float formatting), which preserves every
-//! `f32`/`f64`/integer this workspace stores.
+//! shortest-representation float formatting, and `±1e999` for the
+//! infinities), which preserves every `f32`/`f64`/integer this workspace
+//! stores.
 
 #![deny(missing_docs)]
 
@@ -61,7 +62,11 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 fn write_number(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+    if n.is_infinite() {
+        // JSON has no infinity; an out-of-range literal is valid JSON and
+        // parses back to the same infinity.
+        out.push_str(if n > 0.0 { "1e999" } else { "-1e999" });
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
         out.push_str(&format!("{}", n as i64));
     } else {
         // `{:?}` prints the shortest string that round-trips the f64.
@@ -386,6 +391,11 @@ mod tests {
     #[test]
     fn float_round_trip_is_exact() {
         for x in [0.1f64, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -2.5e-7] {
+            let json = to_string(&x).unwrap();
+            let back: f64 = from_str(&json).unwrap();
+            assert_eq!(back, x, "{json}");
+        }
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
             let json = to_string(&x).unwrap();
             let back: f64 = from_str(&json).unwrap();
             assert_eq!(back, x, "{json}");
