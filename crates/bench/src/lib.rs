@@ -1,49 +1,30 @@
-//! Shared harness for the reproduction binaries: environment knobs, the
-//! five-discriminator fidelity study (used by Fig. 1(c) and Tables II, IV,
-//! V, VI), and table formatting.
+//! Shared harness for the paper reproduction (`mlr repro`, see
+//! [`repro`]), the serving fleet drivers ([`fleet`]), throughput
+//! measurement, `BENCH_*.json` rows, dataset and model caches, and table
+//! formatting.
 //!
-//! Every `repro_*` binary in `src/bin/` regenerates one table or figure of
-//! the paper; see the README's experiment index. Binaries honour two
-//! environment variables:
+//! Environment variables read here:
 //!
-//! * `MLR_SHOTS` — shots per prepared basis state (default 600; the paper
-//!   records 50 000 on hardware, which is unnecessary for the trends);
-//! * `MLR_SEED` — master seed (default 2025);
-//! * `MLR_THREADS` — worker-thread override for generation and batch
-//!   inference (see `mlr_core::batch_threads`);
 //! * `MLR_DATASET_DIR` — binary dataset cache directory (default
 //!   `datasets/`); see [`cached_dataset`];
 //! * `MLR_MODEL_DIR` — trained-model cache directory (default `models/`);
 //!   see [`cached_model`].
+//!
+//! [`repro::Knobs`] reads `MLR_SHOTS`, `MLR_SEED` and `MLR_QEC_TRIALS`;
+//! `MLR_THREADS` (worker threads for generation and batch inference) is
+//! read by `mlr_core::batch_threads`.
 
 #![deny(missing_docs)]
 
 pub mod fleet;
+pub mod repro;
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use mlr_core::{evaluate, registry, Discriminator, DiscriminatorSpec, EvalReport, TrainedModel};
+use mlr_core::{registry, Discriminator, DiscriminatorSpec, TrainedModel};
 use mlr_num::Complex;
 use mlr_sim::{ChipConfig, DatasetSpec, DatasetSplit, TraceDataset};
-
-/// Shots per prepared computational basis state, from `MLR_SHOTS`
-/// (default 600 — 32 × 600 = 19 200 traces; the paper records 50 000 per
-/// state, unnecessary for the trends).
-pub fn shots_per_state() -> usize {
-    std::env::var("MLR_SHOTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(600)
-}
-
-/// Master seed, from `MLR_SEED` (default 2025).
-pub fn seed() -> u64 {
-    std::env::var("MLR_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2025)
-}
 
 /// The binary dataset cache directory: `MLR_DATASET_DIR` when set,
 /// `datasets/` under the working directory otherwise.
@@ -87,7 +68,7 @@ pub fn cached_dataset(spec: &DatasetSpec) -> TraceDataset {
 }
 
 /// [`cached_dataset`] for the paper's natural-leakage methodology on
-/// `config` — the generation every fidelity-study binary shares.
+/// `config` — the generation every fidelity artifact shares.
 pub fn cached_natural_dataset(
     config: &ChipConfig,
     shots_per_state: usize,
@@ -168,105 +149,6 @@ fn store_model(
     model.save_json_file(&tmp)?;
     std::fs::rename(&tmp, path)?;
     Ok(())
-}
-
-/// The five fitted/evaluated designs of the readout-fidelity experiments.
-#[derive(Debug)]
-pub struct FidelityStudy {
-    /// The generated three-level dataset (all 243 basis states).
-    pub dataset: TraceDataset,
-    /// The paper's 30/70 split with validation carved from training.
-    pub split: DatasetSplit,
-    /// Evaluation of the proposed design on the test split.
-    pub ours: EvalReport,
-    /// Evaluation of the raw-trace FNN baseline.
-    pub fnn: EvalReport,
-    /// Evaluation of HERQULES.
-    pub herqules: EvalReport,
-    /// Evaluation of LDA.
-    pub lda: EvalReport,
-    /// Evaluation of QDA.
-    pub qda: EvalReport,
-    /// Weight counts per design: (ours, fnn, herqules).
-    pub weight_counts: (usize, usize, usize),
-}
-
-impl FidelityStudy {
-    /// All five reports, in the paper's usual row order.
-    pub fn reports(&self) -> Vec<&EvalReport> {
-        vec![&self.lda, &self.qda, &self.fnn, &self.herqules, &self.ours]
-    }
-}
-
-/// Runs the full three-level fidelity study on the paper's five-qubit chip
-/// following its calibration-free methodology: prepare only the 32
-/// computational basis states, label shots by their true initial
-/// three-level state (natural leakage provides the `|2⟩` examples, exactly
-/// as the paper's spectral clustering does), fit OURS + all four baselines
-/// on the stratified training split, evaluate balanced per-qubit fidelity
-/// on the test split.
-///
-/// This is the shared engine behind Fig. 1(c) and Tables II/IV/V/VI.
-/// Every design is constructed through the registry
-/// ([`mlr_core::registry::fit`] via [`cached_model`]), so a warm
-/// `MLR_MODEL_DIR` skips all five fits.
-pub fn run_fidelity_study(shots_per_state: usize, seed: u64) -> FidelityStudy {
-    let config = ChipConfig::five_qubit_paper();
-    eprintln!("[study] natural-leakage dataset: 32 states x {shots_per_state} shots (seed {seed})");
-    let t = Instant::now();
-    let dataset_spec = DatasetSpec::natural(config.clone(), shots_per_state, seed);
-    let dataset = cached_dataset(&dataset_spec);
-    let split = dataset.paper_split(seed);
-    let leaked_counts: Vec<usize> = (0..config.n_qubits())
-        .map(|q| {
-            (0..dataset.len())
-                .filter(|&i| dataset.label(i, q) == 2)
-                .count()
-        })
-        .collect();
-    eprintln!(
-        "[study] {} shots in {:.1}s (train {}, val {}, test {}); leaked per qubit {:?}",
-        dataset.len(),
-        t.elapsed().as_secs_f64(),
-        split.train.len(),
-        split.val.len(),
-        split.test.len(),
-        leaked_counts
-    );
-
-    let fit = |name: &str| -> TrainedModel {
-        let spec: DiscriminatorSpec = name.parse().expect("registry family name");
-        cached_model(&spec, &dataset_spec, &dataset, &split, seed)
-    };
-    let ours_model = fit("OURS");
-    let herq_model = fit("HERQULES");
-    let fnn_model = fit("FNN");
-    let lda_model = fit("LDA");
-    let qda_model = fit("QDA");
-
-    let t = Instant::now();
-    let ours = evaluate(&ours_model, &dataset, &split.test);
-    let herqules = evaluate(&herq_model, &dataset, &split.test);
-    let fnn = evaluate(&fnn_model, &dataset, &split.test);
-    let lda = evaluate(&lda_model, &dataset, &split.test);
-    let qda = evaluate(&qda_model, &dataset, &split.test);
-    eprintln!("[study] evaluation in {:.1}s", t.elapsed().as_secs_f64());
-
-    let weight_counts = (
-        ours_model.weight_count(),
-        fnn_model.weight_count(),
-        herq_model.weight_count(),
-    );
-    FidelityStudy {
-        dataset,
-        split,
-        ours,
-        fnn,
-        herqules,
-        lda,
-        qda,
-        weight_counts,
-    }
 }
 
 /// Shots-per-second of a discriminator's per-shot loop vs its batch path
@@ -515,36 +397,31 @@ pub fn append_bench_rows(path: &std::path::Path, rows: &[BenchRow]) -> Result<()
     std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// Prints an aligned table: header row, then one row per entry.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// An aligned table: a `== title ==` line after a blank one, the header
+/// row, then one row per entry, every cell right-aligned to its column.
+pub fn format_table<S: AsRef<str>>(title: &str, header: &[S], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_owned()).collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
-        let parts: Vec<String> = cells
+    let mut out = format!("\n== {title} ==\n");
+    for row in std::iter::once(&header).chain(rows) {
+        let cells: Vec<String> = row
             .iter()
             .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
+            .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        println!("  {}", parts.join("  "));
-    };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    for row in rows {
-        line(row.clone());
+        out.push_str(&format!("  {}\n", cells.join("  ")));
     }
+    out
 }
 
-/// Formats a fidelity row: design name, per-qubit fidelities, geometric
-/// mean.
-pub fn fidelity_row(report: &EvalReport) -> Vec<String> {
-    let mut row = vec![report.design.clone()];
-    row.extend(report.per_qubit_fidelity.iter().map(|f| format!("{f:.4}")));
-    row.push(format!("{:.4}", report.geometric_mean_fidelity()));
-    row
+/// Prints [`format_table`] to stdout.
+pub fn print_table<S: AsRef<str>>(title: &str, header: &[S], rows: &[Vec<String>]) {
+    print!("{}", format_table(title, header, rows));
 }
 
 #[cfg(test)]

@@ -2,14 +2,14 @@
 
 use std::fmt;
 
+use mlr_bench::print_table;
+use mlr_bench::repro::{self, Knobs, HW_COLUMNS};
 use mlr_core::{
-    evaluate, evaluate_streaming, registry, Discriminator, DiscriminatorSpec, ModelIoError,
-    OursConfig, StreamingConfig,
+    evaluate, registry, Discriminator, DiscriminatorSpec, EvalReport, ModelIoError, OursConfig,
 };
-use mlr_fpga::{max_feasible_qubits, scaling_study, DiscriminatorHw, FpgaDevice, PowerModel};
 use mlr_qec::{
     herald_sweep, ConfusionMatrixHerald, DecoderKind, EraserConfig, EraserExperiment,
-    HeraldSweepConfig, SpeculationMode,
+    HeraldSweepConfig,
 };
 use mlr_sim::{
     config_hash, ChipConfig, DatasetIoError, DatasetSpec, FeedlineSpec, LabelSource,
@@ -31,7 +31,7 @@ COMMANDS:
                  --seed N   --samples N   --natural (harvest natural leakage)
     dataset generate
                Simulate a dataset and cache it in the binary arena format;
-               repro binaries and benches load the cache instead of
+               mlr repro and the benches load the cache instead of
                re-simulating. Same flags as dataset, plus
                  --dir DIR (default $MLR_DATASET_DIR or datasets/)
     dataset info
@@ -44,10 +44,24 @@ COMMANDS:
                  --model FILE (required)  --shots N  --seed N
                  --design NAME (assert the file holds this design)
     designs    List every registry design name usable with --design
-    resources  FPGA resource report for OURS / HERQULES / FNN
+    resources  FPGA resource report for OURS / HERQULES / FNN (the
+               hardware table of mlr repro fig1d / fig5a / sec7d)
                  --qubits N  --levels K  --samples N
-    scaling    Model-size and feasibility sweep across (n, k)
+    scaling    Model-size and feasibility sweep across (n, k) (mlr repro
+               scaling at another trace length)
                  --samples N
+    repro [ARTIFACT]
+               Regenerate one table or figure of the paper, printing its
+               rows and claims (paper value, measured value, holds or
+               fails); without ARTIFACT, the shared fidelity study runs
+               once for fig1c table2 table4 table5 table6, then table1
+               fig1d fig5a sec3a sec7b sec7d.
+                 ARTIFACT: table1 table2 table4 table5 table6 fig1c fig1d
+                   fig3 fig5a fig5b sec3a sec7b sec7d twolevel scaling
+                   herald_sweep ablation sensitivity adaptive calibrate diag
+               Environment: MLR_SHOTS (shots per prepared state, default
+               600), MLR_SEED (default 2025), MLR_QEC_TRIALS (ERASER
+               trials; default 600, 300 for herald_sweep)
     qec        ERASER vs ERASER+M leakage-speculation comparison
                  --distance D  --cycles N  --trials N  --readout-error P
                  --decoder greedy|union-find (end-of-run logical failures;
@@ -178,12 +192,12 @@ pub fn run(argv: Vec<String>) -> Result<(), CliError> {
         None => return Err(CliError::Usage(USAGE.to_owned())),
         Some((c, rest)) => (c.clone(), rest.to_vec()),
     };
-    // `dataset`, `qec`, and `multiplex` have positional sub-subcommands
-    // (`generate`, `info`, `sweep`); split them off before flag parsing,
-    // which rejects positionals.
+    // `dataset`, `qec`, `multiplex` and `repro` have positional
+    // sub-subcommands (`generate`, `info`, `sweep`, an artifact name);
+    // split them off before flag parsing, which rejects positionals.
     let (subcommand, rest) = match rest.split_first() {
         Some((s, tail))
-            if matches!(command.as_str(), "dataset" | "qec" | "multiplex")
+            if matches!(command.as_str(), "dataset" | "qec" | "multiplex" | "repro")
                 && !s.starts_with("--") =>
         {
             (Some(s.clone()), tail.to_vec())
@@ -223,6 +237,7 @@ pub fn run(argv: Vec<String>) -> Result<(), CliError> {
                 "multiplex requires the sweep subcommand\n\n{USAGE}"
             ))),
         },
+        "repro" => cmd_repro(subcommand.as_deref(), &args),
         "throughput" => cmd_throughput(&args),
         "serve-stats" => cmd_serve_stats(&args),
         "help" | "--help" => {
@@ -298,29 +313,6 @@ fn dataset_from(args: &Args, chip: &ChipConfig) -> Result<TraceDataset, CliError
     } else {
         TraceDataset::generate(chip, 3, shots, seed)
     })
-}
-
-fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
 }
 
 /// Summary line + per-qubit occupancy table shared by the dataset
@@ -460,23 +452,11 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
 
     let split = ds.paper_split(seed);
     let model = registry::fit(&spec, &ds, &split, seed);
-    let report = evaluate(&model, &ds, &split.test);
-    let rows: Vec<Vec<String>> = report
-        .per_qubit_fidelity
-        .iter()
-        .enumerate()
-        .map(|(q, f)| vec![format!("q{q}"), format!("{f:.4}")])
-        .collect();
-    print_table(
+    print_fidelity(
         &format!("{spec} test fidelity"),
-        &["qubit", "balanced fidelity"],
-        &rows,
+        &evaluate(&model, &ds, &split.test),
     );
-    println!(
-        "geometric mean {:.4}, {} NN weights",
-        report.geometric_mean_fidelity(),
-        model.weight_count()
-    );
+    println!("{} NN weights", model.weight_count());
     model.save_json_file(&out)?;
     println!("{spec} model saved to {out}");
     Ok(())
@@ -535,24 +515,25 @@ fn cmd_eval(args: &Args) -> Result<(), CliError> {
     let chip = model.chip().clone();
     let ds = TraceDataset::generate(&chip, model.levels(), shots, seed);
     let all: Vec<usize> = (0..ds.len()).collect();
-    let report = evaluate(&model, &ds, &all);
+    let title = format!(
+        "fidelity of {path} ({}) on {} fresh shots",
+        model.spec(),
+        ds.len()
+    );
+    print_fidelity(&title, &evaluate(&model, &ds, &all));
+    Ok(())
+}
+
+/// Per-qubit balanced fidelity of `report`, then its geometric mean.
+fn print_fidelity(title: &str, report: &EvalReport) {
     let rows: Vec<Vec<String>> = report
         .per_qubit_fidelity
         .iter()
         .enumerate()
         .map(|(q, f)| vec![format!("q{q}"), format!("{f:.4}")])
         .collect();
-    print_table(
-        &format!(
-            "fidelity of {path} ({}) on {} fresh shots",
-            model.spec(),
-            ds.len()
-        ),
-        &["qubit", "balanced fidelity"],
-        &rows,
-    );
+    print_table(title, &["qubit", "balanced fidelity"], &rows);
     println!("geometric mean {:.4}", report.geometric_mean_fidelity());
-    Ok(())
 }
 
 fn cmd_resources(args: &Args) -> Result<(), CliError> {
@@ -560,37 +541,13 @@ fn cmd_resources(args: &Args) -> Result<(), CliError> {
     let k: usize = args.get_or("--levels", 3)?;
     let samples: usize = args.get_or("--samples", 500)?;
     args.reject_unknown()?;
-
-    let device = FpgaDevice::xczu7ev();
-    let power = PowerModel::tsmc45();
-    let rows: Vec<Vec<String>> = [
-        DiscriminatorHw::ours_paper(n, k, samples),
-        DiscriminatorHw::herqules_paper(n, k, samples),
-        DiscriminatorHw::fnn_paper(n, k, samples),
-    ]
-    .iter()
-    .map(|hw| {
-        let est = hw.estimate(&device);
-        let util = est.utilization(&device);
-        vec![
-            hw.name.clone(),
-            hw.nn_weights.to_string(),
-            format!("{:.1}%", util.lut_pct),
-            format!("{:.1}%", util.ff_pct),
-            format!("{:.1}%", util.bram_pct),
-            format!("{:.1}%", util.dsp_pct),
-            format!("{}", hw.latency_cycles()),
-            format!("{:.3}", power.nn_power_mw(hw, 1e6)),
-            hw.speed_class(&device).to_owned(),
-        ]
-    })
-    .collect();
-    print_table(
-        &format!("{n} qubits x {k} levels on {}", device.name),
-        &[
-            "design", "weights", "LUT", "FF", "BRAM", "DSP", "cycles", "mW@1MHz", "class",
-        ],
-        &rows,
+    let title = format!(
+        "{n} qubits x {k} levels on {}",
+        mlr_fpga::FpgaDevice::xczu7ev().name
+    );
+    print!(
+        "{}",
+        repro::hardware_table("resources", &title, (n, k, samples), &HW_COLUMNS)
     );
     Ok(())
 }
@@ -598,39 +555,18 @@ fn cmd_resources(args: &Args) -> Result<(), CliError> {
 fn cmd_scaling(args: &Args) -> Result<(), CliError> {
     let samples: usize = args.get_or("--samples", 500)?;
     args.reject_unknown()?;
-    let device = FpgaDevice::xczu7ev();
-    let points = scaling_study(&[2, 5, 10, 15, 20], &[2, 3, 4], samples, &device);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.levels.to_string(),
-                p.n_qubits.to_string(),
-                p.design.clone(),
-                p.nn_weights.to_string(),
-                if p.fits {
-                    "yes".into()
-                } else {
-                    "NO".to_owned()
-                },
-                p.min_reuse.map_or("never".to_owned(), |r| format!("R={r}")),
-            ]
-        })
-        .collect();
-    print_table(
-        "scaling sweep",
-        &["k", "n", "design", "weights", "fits@R=1", "min reuse"],
-        &rows,
-    );
-    for k in [2usize, 3, 4] {
-        println!(
-            "k={k}: OURS feasible to n<={}, HERQULES n<={}, FNN n<={}",
-            max_feasible_qubits(&points, "OURS", k).unwrap_or(0),
-            max_feasible_qubits(&points, "HERQULES", k).unwrap_or(0),
-            max_feasible_qubits(&points, "FNN", k).unwrap_or(0),
-        );
-    }
+    print!("{}", repro::scaling(samples));
     Ok(())
+}
+
+/// `mlr repro [ARTIFACT]`: the paper's tables and figures with their
+/// claims. Bad `MLR_*` knobs, unknown artifacts and too few shots are
+/// usage errors.
+fn cmd_repro(artifact: Option<&str>, args: &Args) -> Result<(), CliError> {
+    args.reject_unknown()?;
+    let usage = |e: repro::ReproError| CliError::Usage(e.to_string());
+    let knobs = Knobs::from_env().map_err(usage)?;
+    repro::run(artifact, &knobs, |a| print!("{a}")).map_err(usage)
 }
 
 /// Rejects QEC parameters the lattice/experiment layer would panic on:
@@ -699,38 +635,21 @@ fn cmd_qec(args: &Args) -> Result<(), CliError> {
         decoder,
         ..EraserConfig::default()
     };
-    let experiment = EraserExperiment::new(config);
     // herald_error == 0 is bit-for-bit the ground-truth herald (the
     // zero-probability arm draws nothing from the rng).
-    let herald = ConfusionMatrixHerald::symmetric(herald_error);
-    let base = experiment.run_with_herald(SpeculationMode::Eraser, &herald);
-    let multi = experiment.run_with_herald(SpeculationMode::EraserM { readout_error }, &herald);
-    let rows = vec![
-        vec![
-            "ERASER".to_owned(),
-            format!("{:.3}", base.speculation_accuracy),
-            format!("{:.2e}", base.leakage_population),
-            format!("{:.3}", base.logical_failure_rate),
-        ],
-        vec![
-            format!("ERASER+M (err {readout_error})"),
-            format!("{:.3}", multi.speculation_accuracy),
-            format!("{:.2e}", multi.leakage_population),
-            format!("{:.3}", multi.logical_failure_rate),
-        ],
-    ];
-    print_table(
-        &format!(
-            "d={distance}, {cycles} cycles, {trials} trials, {decoder} decoder, \
-             herald err {herald_error}"
-        ),
-        &[
-            "design",
-            "speculation accuracy",
-            "leakage population",
-            "logical failure",
-        ],
-        &rows,
+    let title = format!(
+        "d={distance}, {cycles} cycles, {trials} trials, {decoder} decoder, \
+         herald err {herald_error}"
+    );
+    print!(
+        "{}",
+        repro::eraser_table(
+            "qec",
+            &title,
+            &EraserExperiment::new(config),
+            readout_error,
+            &ConfusionMatrixHerald::symmetric(herald_error),
+        )
     );
     Ok(())
 }
@@ -776,36 +695,13 @@ fn cmd_qec_sweep(args: &Args) -> Result<(), CliError> {
         readout_error,
         seed,
     };
-    let points = herald_sweep(&config);
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.distance.to_string(),
-                p.decoder.to_string(),
-                format!("{:.3}", p.herald_error),
-                format!("{:.3}", p.result.herald_false_positive_rate),
-                format!("{:.3}", p.result.herald_false_negative_rate),
-                format!("{:.2e}", p.result.leakage_population),
-                format!("{:.4}", p.result.logical_failure_rate),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "herald-quality sweep: {cycles} cycles, {trials} trials/point, \
-             ancilla readout err {readout_error}, seed {seed}"
-        ),
-        &[
-            "d",
-            "decoder",
-            "herald err",
-            "herald FP",
-            "herald FN",
-            "leakage pop",
-            "logical failure",
-        ],
-        &rows,
+    let title = format!(
+        "herald-quality sweep: {cycles} cycles, {trials} trials/point, \
+         ancilla readout err {readout_error}, seed {seed}"
+    );
+    print!(
+        "{}",
+        repro::herald_table("qec sweep", &title, &herald_sweep(&config))
     );
     println!(
         "\nherald err 0 = ground-truth erasures; greedy ignores erasures, so its \
@@ -823,53 +719,8 @@ fn cmd_streaming(args: &Args) -> Result<(), CliError> {
     args.reject_unknown()?;
 
     let split = ds.paper_split(seed);
-    let n = chip.n_samples;
-    let checkpoints = vec![3 * n / 5, 4 * n / 5, n];
-    let dt_ns = chip.dt_us() * 1000.0;
-    let mut rows = Vec::new();
-    for (label, conf) in [
-        (format!("{confidence}"), confidence),
-        ("never".to_owned(), 2.0),
-    ] {
-        let spec = DiscriminatorSpec::Streaming(StreamingConfig {
-            checkpoints: checkpoints.clone(),
-            confidence: conf,
-            base: OursConfig::default(),
-        });
-        let model = registry::fit(&spec, &ds, &split, seed);
-        let readout = model.as_streaming().expect("streaming family");
-        let report = evaluate_streaming(readout, &ds, &split.test);
-        let mean_f =
-            report.per_qubit_fidelity.iter().sum::<f64>() / report.per_qubit_fidelity.len() as f64;
-        rows.push(vec![
-            label,
-            format!("{mean_f:.4}"),
-            format!("{:.0}", report.mean_duration_ns(dt_ns)),
-            report
-                .checkpoint_counts
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join("/"),
-        ]);
-    }
-    print_table(
-        &format!(
-            "adaptive readout (checkpoints {} samples)",
-            checkpoints
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join("/")
-        ),
-        &[
-            "confidence",
-            "mean fidelity",
-            "mean dur (ns)",
-            "decided at cp",
-        ],
-        &rows,
-    );
+    let table = repro::adaptive_table("streaming", &ds, &split, seed, &[confidence, 2.0]);
+    print!("{table}");
     Ok(())
 }
 
@@ -1634,6 +1485,25 @@ mod tests {
     fn resources_and_scaling_run() {
         run_tokens(&["resources", "--qubits", "5", "--levels", "3"]).unwrap();
         run_tokens(&["scaling", "--samples", "500"]).unwrap();
+    }
+
+    #[test]
+    fn repro_prints_an_artifact() {
+        run_tokens(&["repro", "fig1d"]).unwrap();
+        let err = run_tokens(&["repro", "fig1d", "--shots", "3"]).unwrap_err();
+        assert!(matches!(err, CliError::Arg(_)), "{err}");
+    }
+
+    #[test]
+    fn unknown_artifact_error_lists_valid_names() {
+        let err = run_tokens(&["repro", "table3"]).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, CliError::Usage(_)), "{msg}");
+        assert!(msg.contains("table3"), "{msg}");
+        for name in repro::names() {
+            assert!(msg.contains(name), "{msg} missing {name}");
+            assert!(USAGE.contains(name), "USAGE does not list {name}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   up).
 //!
 //! [`herald_sweep`] is the driver behind `mlr qec sweep` and
-//! `repro_herald_sweep`: it scans herald assignment error across decoders
+//! `mlr repro herald_sweep`: it scans herald assignment error across decoders
 //! and distances and reports the resulting logical failure rate.
 //!
 //! # Examples
@@ -228,7 +228,7 @@ pub struct HeraldSweepPoint {
 /// Scans herald assignment error across decoders and distances, running
 /// one ERASER+M experiment per grid point and reporting the logical
 /// failure rate — the engine behind `mlr qec sweep` and
-/// `repro_herald_sweep`.
+/// `mlr repro herald_sweep`.
 ///
 /// Points sharing a distance share leakage trajectories (same seed), so
 /// along the herald-error axis the curves are coupled: the only thing that

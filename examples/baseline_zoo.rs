@@ -54,7 +54,7 @@ fn main() {
          rare |2> class counts as much as the computational states. Note the\n\
          model-size column: the classical IQ methods are training-free and\n\
          the proposed design is ~6x smaller than HERQULES and ~100x smaller\n\
-         than the FNN (omitted here for runtime; see repro_table2/4). On\n\
+         than the FNN (omitted here for runtime; see `mlr repro table4`). On\n\
          this simulator's Gaussian traces the IQ methods are stronger than\n\
          on the paper's hardware (documented as deviation D3 in\n\
          a known deviation); the joint-output HERQULES still shows its\n\

@@ -10,7 +10,7 @@ use mlr_qec::QecCycleTiming;
 use mlr_sim::{ChipConfig, TraceDataset};
 
 fn main() {
-    // Small chip for speed; the repro_fig5b binary runs the paper-scale
+    // Small chip for speed; `mlr repro fig5b` runs the paper-scale
     // five-qubit sweep.
     let mut config = ChipConfig::uniform(2);
     config.qubits[0].prep_leak_prob = 0.03;

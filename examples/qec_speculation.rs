@@ -56,7 +56,7 @@ fn main() {
     // healthy qubits and misses leaked ones, so the union-find decoder's
     // erasure payoff erodes as readout quality drops — greedy, which
     // ignores erasures, is the flat baseline. (`mlr qec sweep` scans the
-    // full grid; `repro_herald_sweep` adds discriminator-backed heralds.)
+    // full grid; `mlr repro herald_sweep` adds discriminator-backed heralds.)
     println!("\nLogical failure vs herald assignment error (d=5 union-find vs greedy):");
     let mode = SpeculationMode::EraserM {
         readout_error: 0.05,

@@ -3,7 +3,7 @@
 //!
 //! See `README.md` at the workspace root for the architecture map (crate
 //! graph, tier-1 commands, batch-API quickstart) and the experiment index
-//! of the `repro_*` binaries in `crates/bench/src/bin/`.
+//! of `mlr repro`, which regenerates the paper's tables and figures.
 //!
 //! # Examples
 //!
