@@ -94,27 +94,6 @@ fn joint_baseband_iq(
     }
 }
 
-/// Contiguous dot product with four independent accumulators, breaking the
-/// FMA latency chain so the compiler can keep SIMD lanes busy. Every
-/// fused-path score — single-shot and batched — goes through this one
-/// function, which is what makes the two bit-identical.
-fn fused_dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-    }
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        acc[0] += x * y;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
 /// Demodulates a raw trace and scores every qubit's matched-filter bank,
 /// merging the scores into one feature vector (`9 × n` entries for the
 /// paper's three-level banks).
@@ -408,9 +387,9 @@ impl FeatureExtractor {
 
     /// Extracts merged feature vectors for a batch of raw traces through
     /// the fused kernels: no per-shot demodulation, each trace flattened
-    /// once and scored by contiguous SIMD-friendly dot products, kernels
-    /// read once per 16-shot tile (`BATCH_TILE`) instead of once per shot,
-    /// tiles fanned out over cores.
+    /// once, each 16-shot tile (`BATCH_TILE`) scored against every kernel
+    /// in register blocks ([`mlr_nn::dot4_f64_tile`], bit-identical to the
+    /// single-shot [`mlr_nn::dot4_f64`]), tiles fanned out over cores.
     ///
     /// Scores agree with the per-shot [`FeatureExtractor::extract`] path
     /// to floating-point reassociation (≈1e-13 relative); decisions
@@ -436,15 +415,16 @@ impl FeatureExtractor {
                     pair[1] = z.im;
                 }
             }
-            let mut out = vec![vec![0.0; dim]; tile.len()];
-            // Filter-major over the tile: each kernel is loaded once and
-            // stays cache-hot across the tile's shots.
-            for (f, kernel) in self.fused.iter().enumerate() {
-                for (features, flat_s) in out.iter_mut().zip(flat.chunks_exact(stride)) {
-                    features[f] = fused_dot(flat_s, &kernel.w);
-                }
-            }
-            out
+            // Every (kernel, shot) pair of the tile in register blocks;
+            // each score is `dot4_f64` of the pair, bit for bit.
+            let kernels: Vec<&[f64]> = self.fused.iter().map(|k| k.w.as_slice()).collect();
+            let flats: Vec<&[f64]> = flat.chunks_exact(stride).collect();
+            let mut scores = vec![0.0; tile.len() * dim];
+            mlr_nn::dot4_f64_tile(&kernels, &flats, &mut scores);
+            scores
+                .chunks_exact(dim)
+                .map(<[f64]>::to_vec)
+                .collect::<Vec<_>>()
         });
         per_tile.into_iter().flatten().collect()
     }
@@ -467,7 +447,7 @@ impl FeatureExtractor {
         flatten_iq(raw, &mut flat);
         self.fused
             .iter()
-            .map(|kernel| fused_dot(&flat, &kernel.w))
+            .map(|kernel| mlr_nn::dot4_f64(&flat, &kernel.w))
             .collect()
     }
 

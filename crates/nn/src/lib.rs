@@ -30,6 +30,7 @@
 
 #![deny(missing_docs)]
 
+mod backward;
 mod intmlp;
 mod metrics;
 mod mlp;
@@ -45,11 +46,15 @@ pub use mlp::{ForwardScratch, Mlp};
 pub use quantize::{FixedPointFormat, QuantizedMlp};
 pub use regression::{RegressionData, RegressionReport};
 pub use simd::{
-    avx512_active, cmul_sum_f64, cmul_sum_f64_scalar, dot_f32, dot_f32_scalar, dot_lanes,
-    dot_lanes_scalar, dot_tile, dot_tile_scalar, fma_active, narrow_f32, simd_active, tile_tier,
-    CmulSumFn, SimdTier, CMUL_LANES, SHOT_LANES,
+    avx512_active, cmul_sum_f64, cmul_sum_f64_scalar, dot4_f64, dot4_f64_tile,
+    dot4_f64_tile_scalar, dot_f32, dot_f32_scalar, dot_lanes, dot_lanes_scalar, dot_tile,
+    dot_tile_scalar, fma_active, narrow_f32, simd_active, tile_tier, CmulSumFn, Dot4TileFn,
+    SimdTier, CMUL_LANES, SHOT_LANES,
 };
 #[cfg(target_arch = "x86_64")]
-pub use simd::{cmul_sum_f64_avx2, dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2, dot_tile_avx512};
+pub use simd::{
+    cmul_sum_f64_avx2, dot4_f64_tile_avx2, dot_f32_avx2, dot_lanes_avx2, dot_tile_avx2,
+    dot_tile_avx512,
+};
 pub use standardize::Standardizer;
 pub use train::{inverse_frequency_weights, DataError, TrainConfig, TrainData, TrainReport};

@@ -56,6 +56,16 @@
 //! `f32` the kernels score (`_mm512_cvtpd_ps` / `_mm256_cvtpd_ps`), with
 //! the same round-to-nearest-even as `x as f32`.
 //!
+//! # Four-accumulator dot (`f64`)
+//!
+//! [`dot4_f64`] is the matched-filter feature extractor's dot product:
+//! four accumulators, the remainder into the first, a fixed fold. One pair
+//! is a single dependency chain, so [`dot4_f64_tile`] scores many (kernel,
+//! shot) pairs at once — on AVX2, each pair's four accumulators in one
+//! ymm, register blocks of two kernels × four shots — and every pair's
+//! result is bit-identical to [`dot4_f64`]; [`dot4_f64_tile_scalar`] is
+//! its mirror.
+//!
 //! # Demodulate-integrate (`f64`)
 //!
 //! [`cmul_sum_f64`] is the one `f64` kernel here: it demodulates an
@@ -471,11 +481,18 @@ pub fn dot_tile_avx512(
 /// eight at a time with `_mm512_cvtpd_ps` on AVX-512 hosts and four with
 /// `_mm256_cvtpd_ps` on AVX hosts.
 ///
+/// The samples before the source's first 64-byte boundary are narrowed
+/// one by one, so every vector load reads whole cache lines whatever
+/// alignment the allocator gave the source.
+///
 /// # Panics
 ///
 /// Panics if the slices' lengths differ.
 pub fn narrow_f32(src: &[f64], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "narrow_f32 length mismatch");
+    let head = src.as_ptr().align_offset(64).min(src.len());
+    narrow::scalar(&src[..head], &mut dst[..head]);
+    let (src, dst) = (&src[head..], &mut dst[head..]);
     #[cfg(target_arch = "x86_64")]
     {
         if avx512_enabled() {
@@ -532,6 +549,182 @@ mod narrow {
             i += 4;
         }
         scalar(&src[full..], &mut dst[full..]);
+    }
+}
+
+/// The four-accumulator `f64` dot product the matched-filter feature
+/// extractor scores with: accumulator `k` sums `a[4j + k] · b[4j + k]` over
+/// the whole chunks of four, the remainder adds into accumulator 0, and
+/// the result is `(acc₀ + acc₁) + (acc₂ + acc₃)`. Multiply, then add; no
+/// FMA.
+///
+/// # Panics
+///
+/// Panics in debug builds if the slices' lengths differ.
+pub fn dot4_f64(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let mut acc = [0.0f64; 4];
+    let mut chunks_a = a.chunks_exact(4);
+    let mut chunks_b = b.chunks_exact(4);
+    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+        for ((acc, &x), &y) in acc.iter_mut().zip(ca).zip(cb) {
+            *acc += x * y;
+        }
+    }
+    finish_dot4(acc, chunks_a.remainder(), chunks_b.remainder())
+}
+
+/// [`dot4_f64`]'s tail: the remainder into accumulator 0, then the fold.
+#[inline]
+fn finish_dot4(mut acc: [f64; 4], ra: &[f64], rb: &[f64]) -> f64 {
+    for (x, y) in ra.iter().zip(rb) {
+        acc[0] += x * y;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// The signature [`dot4_f64_tile`], its scalar mirror and its AVX2 path
+/// share, so a caller can pin one of them.
+pub type Dot4TileFn = fn(&[&[f64]], &[&[f64]], &mut [f64]);
+
+/// Scores every (row, shot) pair with [`dot4_f64`]:
+/// `out[s · rows.len() + r] = dot4_f64(shots[s], rows[r])`, bit for bit. A
+/// single pair's four accumulators form one dependency chain; the AVX2
+/// path keeps them in one ymm and runs register blocks of two rows by
+/// four shots, so eight chains overlap. The scalar mirror is
+/// [`dot4_f64_tile_scalar`].
+///
+/// # Panics
+///
+/// Panics unless every row and shot has the same length and `out` holds
+/// one value per pair.
+pub fn dot4_f64_tile(rows: &[&[f64]], shots: &[&[f64]], out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        return dot4_f64_tile_avx2(rows, shots, out);
+    }
+    dot4_f64_tile_scalar(rows, shots, out);
+}
+
+/// The shape checks every [`dot4_f64_tile`] entry point makes.
+fn dot4_shape(rows: &[&[f64]], shots: &[&[f64]], out: &[f64]) {
+    let n = rows.first().or(shots.first()).map_or(0, |x| x.len());
+    assert!(
+        rows.iter().chain(shots).all(|x| x.len() == n),
+        "rows and shots must have one length"
+    );
+    assert_eq!(out.len(), rows.len() * shots.len(), "one output per pair");
+}
+
+/// [`dot4_f64_tile`]'s scalar mirror: [`dot4_f64`] per pair.
+///
+/// # Panics
+///
+/// As [`dot4_f64_tile`].
+pub fn dot4_f64_tile_scalar(rows: &[&[f64]], shots: &[&[f64]], out: &mut [f64]) {
+    dot4_shape(rows, shots, out);
+    for (o, shot) in out.chunks_exact_mut(rows.len().max(1)).zip(shots) {
+        for (o, row) in o.iter_mut().zip(rows) {
+            *o = dot4_f64(shot, row);
+        }
+    }
+}
+
+/// [`dot4_f64_tile`]'s AVX2 path, exposed for the bit-agreement tests.
+///
+/// # Panics
+///
+/// Panics if AVX2 is unavailable on this host (see [`simd_active`]), and
+/// as [`dot4_f64_tile`].
+#[cfg(target_arch = "x86_64")]
+pub fn dot4_f64_tile_avx2(rows: &[&[f64]], shots: &[&[f64]], out: &mut [f64]) {
+    assert!(avx2_enabled(), "AVX2 unavailable on this host");
+    dot4_shape(rows, shots, out);
+    // SAFETY: AVX2 was checked above, and `dot4_shape` checked that every
+    // row and shot has one length and `out` holds every pair.
+    unsafe { dot4::tile(rows, shots, out) }
+}
+
+/// [`dot4_f64_tile_avx2`]'s body.
+#[cfg(target_arch = "x86_64")]
+mod dot4 {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    };
+
+    use super::finish_dot4;
+
+    /// Rows in register blocks of two, shots in blocks of four, smaller
+    /// blocks at the edges.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, every row and shot must have one length and
+    /// `out` must hold `rows.len() · shots.len()` values.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tile(rows: &[&[f64]], shots: &[&[f64]], out: &mut [f64]) {
+        let mut s = 0;
+        while s < shots.len() {
+            let sb = (shots.len() - s).min(4);
+            let mut r = 0;
+            while r < rows.len() {
+                let rb = (rows.len() - r).min(2);
+                match (rb, sb) {
+                    (2, 4) => block::<2, 4>(rows, shots, r, s, out),
+                    (2, 3) => block::<2, 3>(rows, shots, r, s, out),
+                    (2, 2) => block::<2, 2>(rows, shots, r, s, out),
+                    (2, _) => block::<2, 1>(rows, shots, r, s, out),
+                    (_, 4) => block::<1, 4>(rows, shots, r, s, out),
+                    (_, 3) => block::<1, 3>(rows, shots, r, s, out),
+                    (_, 2) => block::<1, 2>(rows, shots, r, s, out),
+                    (_, _) => block::<1, 1>(rows, shots, r, s, out),
+                }
+                r += rb;
+            }
+            s += sb;
+        }
+    }
+
+    /// One `R`-row × `S`-shot block: each pair's four accumulators are one
+    /// ymm, added chunk by chunk as [`super::dot4_f64`] adds them.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], with rows `r0..r0 + R` and shots `s0..s0 + S` in range.
+    #[inline(always)]
+    unsafe fn block<const R: usize, const S: usize>(
+        rows: &[&[f64]],
+        shots: &[&[f64]],
+        r0: usize,
+        s0: usize,
+        out: &mut [f64],
+    ) {
+        let n = rows[r0].len();
+        let full = n - n % 4;
+        let mut acc = [[_mm256_setzero_pd(); S]; R];
+        let mut i = 0;
+        while i < full {
+            let mut x = [_mm256_setzero_pd(); S];
+            for (j, x) in x.iter_mut().enumerate() {
+                *x = _mm256_loadu_pd(shots[s0 + j].as_ptr().add(i));
+            }
+            for (k, acc) in acc.iter_mut().enumerate() {
+                let w = _mm256_loadu_pd(rows[r0 + k].as_ptr().add(i));
+                for (a, &x) in acc.iter_mut().zip(&x) {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(x, w));
+                }
+            }
+            i += 4;
+        }
+        for (k, acc) in acc.iter().enumerate() {
+            for (j, a) in acc.iter().enumerate() {
+                let mut lanes = [0.0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), *a);
+                let (shot, row) = (shots[s0 + j], rows[r0 + k]);
+                out[(s0 + j) * rows.len() + r0 + k] =
+                    finish_dot4(lanes, &shot[full..], &row[full..]);
+            }
+        }
     }
 }
 
@@ -1173,6 +1366,63 @@ mod tests {
                             assert!(
                                 got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
                                 "{name} n {n} pairs {pairs} tone {j}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot4_tile_kernels_agree_bitwise_with_the_four_accumulator_dot() {
+        // The feature extractor's dot as it was written before the tile
+        // kernels, kept here as the reference.
+        fn fused_dot(a: &[f64], b: &[f64]) -> f64 {
+            let mut acc = [0.0f64; 4];
+            let mut chunks_a = a.chunks_exact(4);
+            let mut chunks_b = b.chunks_exact(4);
+            for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+                acc[0] += ca[0] * cb[0];
+                acc[1] += ca[1] * cb[1];
+                acc[2] += ca[2] * cb[2];
+                acc[3] += ca[3] * cb[3];
+            }
+            for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
+                acc[0] += x * y;
+            }
+            (acc[0] + acc[1]) + (acc[2] + acc[3])
+        }
+        let mut kernels: Vec<(&str, Dot4TileFn)> = vec![
+            ("dispatch", dot4_f64_tile),
+            ("scalar", dot4_f64_tile_scalar),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if simd_active() {
+            kernels.push(("avx2", dot4_f64_tile_avx2));
+        }
+        let widen =
+            |v: Vec<f32>| -> Vec<f64> { v.into_iter().map(|x| f64::from(x) / 3.0).collect() };
+        let (a, b) = vecs(9 * 103);
+        let (mut a, b) = (widen(a), widen(b));
+        for i in (2..a.len()).step_by(11) {
+            a[i] = -0.0;
+        }
+        for n in [0, 1, 3, 4, 7, 100, 103] {
+            let rows: Vec<&[f64]> = a.chunks_exact(103).map(|r| &r[..n]).collect();
+            let shots: Vec<&[f64]> = b.chunks_exact(103).map(|s| &s[..n]).collect();
+            // Every edge block: 1..=9 rows against 1..=9 shots.
+            for (nr, ns) in [(9, 9), (2, 4), (1, 1), (3, 5), (5, 7), (0, 3)] {
+                for (name, kernel) in &kernels {
+                    let mut out = vec![f64::NAN; nr * ns];
+                    kernel(&rows[..nr], &shots[..ns], &mut out);
+                    for s in 0..ns {
+                        for r in 0..nr {
+                            let want = fused_dot(shots[s], rows[r]);
+                            assert_eq!(
+                                out[s * nr + r].to_bits(),
+                                want.to_bits(),
+                                "{name} n {n}, {nr}x{ns}, pair ({r}, {s})"
                             );
                         }
                     }

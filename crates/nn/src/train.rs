@@ -4,7 +4,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::mlp::{softmax_into, Mlp};
+use crate::backward::{self, row_stride, Tier};
+use crate::mlp::{argmax_f32, softmax_into, Mlp};
 use crate::SHOT_LANES;
 use serde::{Deserialize, Serialize};
 
@@ -235,6 +236,10 @@ pub struct TrainReport {
 /// copy of the weights and biases that achieved it.
 pub(crate) type Checkpoint = (f64, Vec<Vec<f32>>, Vec<Vec<f32>>);
 
+/// Samples per [`Mlp::forward_lanes`] call when scoring a dataset outside
+/// training.
+const EVAL_CHUNK: usize = 64;
+
 /// The buffers one [`Mlp::train`] call reuses for every mini-batch, so a
 /// training step makes no allocation of its own.
 struct TrainScratch {
@@ -243,11 +248,18 @@ struct TrainScratch {
     /// as [`crate::dot_lanes`] reads and writes them: unit `k` of sample
     /// `b · SHOT_LANES + j` sits at `[(b · width + k) · SHOT_LANES + j]`.
     lanes: Vec<Vec<f32>>,
-    /// One sample's activations per layer, gathered contiguous.
-    acts: Vec<Vec<f32>>,
-    /// The backward pass's current delta and the one below it.
+    /// The backward pass's deltas for the whole mini-batch at the layer
+    /// it is walking (`delta`) and the one below (`prev`), laid out as
+    /// `lanes`.
     delta: Vec<f32>,
     prev: Vec<f32>,
+    /// The walked layer's inputs, one row per sample for the
+    /// weight-gradient kernel: the inputs, a 1 for the bias, zeros up to
+    /// [`row_stride`].
+    rows: Vec<f32>,
+    /// One sample's output logits and their softmax.
+    logits: Vec<f32>,
+    probs: Vec<f32>,
 }
 
 impl TrainScratch {
@@ -260,9 +272,34 @@ impl TrainScratch {
                 .iter()
                 .map(|&width| vec![0.0; blocks * width * SHOT_LANES])
                 .collect(),
-            acts: mlp.sizes().iter().map(|&w| Vec::with_capacity(w)).collect(),
             delta: Vec::new(),
             prev: Vec::new(),
+            rows: Vec::new(),
+            logits: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+}
+
+/// A mini-batch's summed gradients. Layer `l`'s weight rows are padded to
+/// [`row_stride`]`(n_in + 1)` columns, the layout the weight-gradient
+/// kernel accumulates into: column `n_in` sums the bias gradient (the
+/// kernel's input there is a constant 1, which [`Mlp::backward_lanes`]
+/// copies to `b`), and the columns past it are never read.
+struct Grads {
+    w: Vec<Vec<f32>>,
+    b: Vec<Vec<f32>>,
+}
+
+impl Grads {
+    fn new(mlp: &Mlp) -> Self {
+        let sizes = mlp.sizes();
+        Self {
+            w: sizes
+                .windows(2)
+                .map(|io| vec![0.0; io[1] * row_stride(io[0] + 1)])
+                .collect(),
+            b: mlp.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
         }
     }
 }
@@ -320,12 +357,33 @@ impl Mlp {
     /// are restored at the end and `early_stop_patience` can cut training
     /// short; without one, the final weights are kept.
     ///
+    /// Each mini-batch runs forward eight samples at a time through
+    /// [`crate::dot_lanes`] and backward batch-major: per-sample output
+    /// deltas, then for every layer a register-blocked weight-gradient
+    /// outer product and a ReLU-masked `Wᵀδ` over eight samples at a time,
+    /// on AVX2 where the host has it and a scalar mirror elsewhere. Each
+    /// epoch's validation score runs through the same eight-sample forward
+    /// pass. Every sum keeps the order of a per-sample pass (samples in
+    /// batch order, no FMA), so the trained weights are bit-identical to
+    /// per-sample training, on every host and thread count.
+    ///
     /// # Panics
     ///
     /// Panics if the data dimensions do not match the network topology or
     /// `batch_size == 0`.
     pub fn train(
         &mut self,
+        data: &TrainData,
+        val: Option<&TrainData>,
+        config: &TrainConfig,
+    ) -> TrainReport {
+        self.train_on(Tier::host(), data, val, config)
+    }
+
+    /// [`Mlp::train`] with the backward kernels on `tier`.
+    fn train_on(
+        &mut self,
+        tier: Tier,
         data: &TrainData,
         val: Option<&TrainData>,
         config: &TrainConfig,
@@ -339,8 +397,7 @@ impl Mlp {
 
         let mut adam = Adam::new(self);
         let mut scratch = TrainScratch::new(self, config.batch_size);
-        let mut grad_w: Vec<Vec<f32>> = self.weights.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut grad_b: Vec<Vec<f32>> = self.biases.iter().map(|b| vec![0.0; b.len()]).collect();
+        let mut grads = Grads::new(self);
 
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -352,39 +409,47 @@ impl Mlp {
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0f64;
             for batch in order.chunks(config.batch_size) {
-                grad_w.iter_mut().for_each(|g| g.fill(0.0));
-                grad_b.iter_mut().for_each(|g| g.fill(0.0));
+                grads.w.iter_mut().for_each(|g| g.fill(0.0));
                 self.forward_lanes(data, batch, &mut scratch);
-                for (s, &i) in batch.iter().enumerate() {
-                    let y = data.labels[i];
-                    let w = config
-                        .class_weights
-                        .as_ref()
-                        .map_or(1.0, |cw| cw.get(y).copied().unwrap_or(1.0));
-                    epoch_loss += self.backprop(s, y, w, &mut grad_w, &mut grad_b, &mut scratch);
-                }
+                self.backward_lanes(
+                    tier,
+                    data,
+                    batch,
+                    config.class_weights.as_deref(),
+                    &mut epoch_loss,
+                    &mut grads,
+                    &mut scratch,
+                );
                 let scale = 1.0 / batch.len() as f32;
                 adam.t += 1;
                 let bc1 = 1.0 - config.beta1.powi(adam.t);
                 let bc2 = 1.0 - config.beta2.powi(adam.t);
                 for l in 0..self.weights.len() {
-                    grad_w[l].iter_mut().for_each(|g| *g *= scale);
-                    grad_b[l].iter_mut().for_each(|g| *g *= scale);
-                    Adam::step_inplace(
-                        &mut self.weights[l],
-                        &grad_w[l],
-                        &mut adam.m_w[l],
-                        &mut adam.v_w[l],
-                        config.learning_rate,
-                        config.beta1,
-                        config.beta2,
-                        bc1,
-                        bc2,
-                        config.weight_decay,
-                    );
+                    grads.w[l].iter_mut().for_each(|g| *g *= scale);
+                    grads.b[l].iter_mut().for_each(|g| *g *= scale);
+                    let n_in = self.sizes()[l];
+                    for (((w, g), m), v) in self.weights[l]
+                        .chunks_exact_mut(n_in)
+                        .zip(grads.w[l].chunks_exact(row_stride(n_in + 1)))
+                        .zip(adam.m_w[l].chunks_exact_mut(n_in))
+                        .zip(adam.v_w[l].chunks_exact_mut(n_in))
+                    {
+                        Adam::step_inplace(
+                            w,
+                            &g[..n_in],
+                            m,
+                            v,
+                            config.learning_rate,
+                            config.beta1,
+                            config.beta2,
+                            bc1,
+                            bc2,
+                            config.weight_decay,
+                        );
+                    }
                     Adam::step_inplace(
                         &mut self.biases[l],
-                        &grad_b[l],
+                        &grads.b[l],
                         &mut adam.m_b[l],
                         &mut adam.v_b[l],
                         config.learning_rate,
@@ -402,11 +467,7 @@ impl Mlp {
                 // With class weights the caller cares about balanced
                 // accuracy (rare classes matter); select the best epoch on
                 // the same criterion.
-                let acc = if config.class_weights.is_some() {
-                    self.evaluate_balanced(val)
-                } else {
-                    self.evaluate(val)
-                };
+                let acc = self.score(val, config.class_weights.is_some(), &mut scratch);
                 report.val_accuracies.push(acc);
                 if best.as_ref().is_none_or(|(b, _, _)| acc > *b) {
                     best = Some((acc, self.weights.clone(), self.biases.clone()));
@@ -436,14 +497,8 @@ impl Mlp {
     ///
     /// Panics if the data dimensionality differs from the input width.
     pub fn evaluate(&self, data: &TrainData) -> f64 {
-        let mut scratch = crate::ForwardScratch::default();
-        let correct = (0..data.len())
-            .filter(|&i| {
-                let (x, y) = data.sample(i);
-                self.predict_scratch(x, &mut scratch) == y
-            })
-            .count();
-        correct as f64 / data.len() as f64
+        let mut scratch = TrainScratch::new(self, EVAL_CHUNK);
+        self.score(data, false, &mut scratch)
     }
 
     /// Balanced accuracy: per-class recall averaged over the classes present
@@ -453,16 +508,40 @@ impl Mlp {
     ///
     /// Panics if the data dimensionality differs from the input width.
     pub fn evaluate_balanced(&self, data: &TrainData) -> f64 {
+        let mut scratch = TrainScratch::new(self, EVAL_CHUNK);
+        self.score(data, true, &mut scratch)
+    }
+
+    /// [`Mlp::evaluate`] (or, with `balanced`, [`Mlp::evaluate_balanced`])
+    /// through `scratch`: each chunk of samples runs through
+    /// [`Mlp::forward_lanes`], whose logits are bit-identical to
+    /// [`Mlp::forward`]'s, and each sample's decision is the argmax with
+    /// ties to the lowest class, as [`Mlp::predict`] decides.
+    fn score(&self, data: &TrainData, balanced: bool, scratch: &mut TrainScratch) -> f64 {
+        assert_eq!(data.input_dim(), self.input_len(), "input length mismatch");
+        let chunk = scratch.lanes[0].len() / (self.input_len() * SHOT_LANES) * SHOT_LANES;
+        let n_out = self.output_len();
         let k = data.n_classes();
         let mut hits = vec![0usize; k];
         let mut counts = vec![0usize; k];
-        let mut scratch = crate::ForwardScratch::default();
-        for i in 0..data.len() {
-            let (x, y) = data.sample(i);
-            counts[y] += 1;
-            if self.predict_scratch(x, &mut scratch) == y {
-                hits[y] += 1;
+        let ids: Vec<usize> = (0..data.len()).collect();
+        for part in ids.chunks(chunk) {
+            self.forward_lanes(data, part, scratch);
+            let TrainScratch { lanes, logits, .. } = &mut *scratch;
+            let out = &lanes[self.n_layers()];
+            for (s, &i) in part.iter().enumerate() {
+                let base = (s / SHOT_LANES) * n_out * SHOT_LANES + s % SHOT_LANES;
+                logits.clear();
+                logits.extend((0..n_out).map(|o| out[base + o * SHOT_LANES]));
+                let y = data.labels[i];
+                counts[y] += 1;
+                if argmax_f32(logits) == y {
+                    hits[y] += 1;
+                }
             }
+        }
+        if !balanced {
+            return hits.iter().sum::<usize>() as f64 / data.len() as f64;
         }
         let present: Vec<f64> = (0..k)
             .filter(|&c| counts[c] > 0)
@@ -511,74 +590,102 @@ impl Mlp {
         }
     }
 
-    /// Backprop of sample `s` of the mini-batch [`Mlp::forward_lanes`] last
-    /// scored, accumulating gradients; returns the sample's (weighted)
-    /// cross-entropy loss.
-    fn backprop(
+    /// The backward pass over the mini-batch [`Mlp::forward_lanes`] last
+    /// scored: adds every sample's (class-weighted) cross-entropy loss to
+    /// `loss` in batch order and its gradients to `grads`.
+    ///
+    /// Output deltas come one sample at a time; every layer below runs
+    /// batch-major — the weight gradient as a register-blocked outer
+    /// product of the deltas and the layer's inputs, the deltas one layer
+    /// down as a ReLU-masked `Wᵀδ` over eight samples at a time
+    /// ([`crate::backward`]). Each sum keeps a per-sample pass's order, so
+    /// the gradients are bit-identical to one.
+    #[allow(clippy::too_many_arguments)]
+    fn backward_lanes(
         &self,
-        s: usize,
-        y: usize,
-        sample_weight: f32,
-        grad_w: &mut [Vec<f32>],
-        grad_b: &mut [Vec<f32>],
+        tier: Tier,
+        data: &TrainData,
+        batch: &[usize],
+        class_weights: Option<&[f32]>,
+        loss: &mut f64,
+        grads: &mut Grads,
         scratch: &mut TrainScratch,
-    ) -> f64 {
+    ) {
+        let blocks = batch.len().div_ceil(SHOT_LANES);
+        let n_layers = self.weights.len();
         let TrainScratch {
             lanes,
-            acts,
             delta,
             prev,
+            rows,
+            logits,
+            probs,
         } = scratch;
-        for ((a, lane), &width) in acts.iter_mut().zip(lanes.iter()).zip(self.sizes()) {
-            let block = &lane[(s / SHOT_LANES) * width * SHOT_LANES..][..width * SHOT_LANES];
-            a.clear();
-            a.extend(block.iter().skip(s % SHOT_LANES).step_by(SHOT_LANES));
-        }
-        let n_layers = self.weights.len();
-        softmax_into(&acts[n_layers], delta);
-        let loss = -(delta[y].max(1e-12) as f64).ln() * sample_weight as f64;
 
-        // Output delta: softmax - onehot, scaled by the class weight.
-        delta[y] -= 1.0;
-        if sample_weight != 1.0 {
-            delta.iter_mut().for_each(|d| *d *= sample_weight);
+        // Output deltas: softmax - onehot, scaled by the class weight.
+        let n_out = self.output_len();
+        delta.clear();
+        delta.resize(blocks * n_out * SHOT_LANES, 0.0);
+        for (s, &i) in batch.iter().enumerate() {
+            let y = data.labels[i];
+            let w = class_weights.map_or(1.0, |cw| cw.get(y).copied().unwrap_or(1.0));
+            let base = (s / SHOT_LANES) * n_out * SHOT_LANES + s % SHOT_LANES;
+            logits.clear();
+            logits.extend((0..n_out).map(|o| lanes[n_layers][base + o * SHOT_LANES]));
+            softmax_into(logits, probs);
+            *loss += -(probs[y].max(1e-12) as f64).ln() * w as f64;
+            probs[y] -= 1.0;
+            if w != 1.0 {
+                probs.iter_mut().for_each(|d| *d *= w);
+            }
+            for (o, &d) in probs.iter().enumerate() {
+                delta[base + o * SHOT_LANES] = d;
+            }
         }
 
         for l in (0..n_layers).rev() {
-            let a_in = &acts[l];
-            let n_in = a_in.len();
-            // Accumulate weight/bias gradients.
-            for (o, &d) in delta.iter().enumerate() {
-                grad_b[l][o] += d;
-                if d != 0.0 {
-                    let g_row = &mut grad_w[l][o * n_in..(o + 1) * n_in];
-                    for (g, &a) in g_row.iter_mut().zip(a_in) {
-                        *g += d * a;
+            let n_in = self.sizes()[l];
+            let stride = row_stride(n_in + 1);
+            let len = batch.len() * stride;
+            if rows.len() < len {
+                rows.resize(len, 0.0);
+            }
+            for ((s, row), &i) in rows[..len].chunks_exact_mut(stride).enumerate().zip(batch) {
+                let (x, pad) = row.split_at_mut(n_in);
+                if l == 0 {
+                    x.copy_from_slice(&data.inputs[i]);
+                } else {
+                    let block =
+                        &lanes[l][(s / SHOT_LANES) * n_in * SHOT_LANES..][..n_in * SHOT_LANES];
+                    let column = block[s % SHOT_LANES..].iter().step_by(SHOT_LANES);
+                    for (v, &a) in x.iter_mut().zip(column) {
+                        *v = a;
                     }
                 }
+                // d · 1 = d, and a zero d leaves the sum as it is whether
+                // added or skipped: this column sums the bias gradient.
+                pad[0] = 1.0;
+                pad[1..].fill(0.0);
+            }
+            backward::accumulate_outer(
+                tier,
+                &mut grads.w[l],
+                stride,
+                delta,
+                &rows[..len],
+                batch.len(),
+            );
+            for (o, b) in grads.b[l].iter_mut().enumerate() {
+                *b = grads.w[l][o * stride + n_in];
             }
             if l == 0 {
                 break;
             }
-            // delta_prev = W^T delta, masked by ReLU' (post-activation > 0).
             prev.clear();
-            prev.resize(n_in, 0.0);
-            for (o, &d) in delta.iter().enumerate() {
-                if d != 0.0 {
-                    let row = &self.weights[l][o * n_in..(o + 1) * n_in];
-                    for (p, &w) in prev.iter_mut().zip(row) {
-                        *p += d * w;
-                    }
-                }
-            }
-            for (p, &a) in prev.iter_mut().zip(a_in) {
-                if a <= 0.0 {
-                    *p = 0.0;
-                }
-            }
+            prev.resize(blocks * n_in * SHOT_LANES, 0.0);
+            backward::back_delta(tier, &self.weights[l], n_in, delta, &lanes[l], prev);
             std::mem::swap(delta, prev);
         }
-        loss
     }
 }
 
@@ -946,6 +1053,24 @@ mod tests {
         TrainData::new(inputs, labels, 3).unwrap()
     }
 
+    /// `n` samples of 200 noisy features around nine class centres — the
+    /// shape of a small raw-trace FNN.
+    fn fnn_data(n: usize, seed: u64) -> TrainData {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inputs = (0..n)
+            .map(|i| {
+                (0..200)
+                    .map(|k| {
+                        let centre = if k % 9 == i % 9 { 0.7 } else { -0.2 };
+                        centre + 2.0 * rng.gen::<f32>() - 1.0
+                    })
+                    .collect()
+            })
+            .collect();
+        TrainData::new(inputs, (0..n).map(|i| i % 9).collect(), 9).unwrap()
+    }
+
     #[test]
     fn training_is_bit_identical_to_the_per_sample_oracle() {
         // 300 samples: batch 64 leaves a ragged 44-sample last batch (a
@@ -959,9 +1084,20 @@ mod tests {
             seed: 4,
             ..TrainConfig::default()
         };
+        // One NaN feature: every first-layer unit of that sample reads NaN,
+        // its ReLU gives 0, so the sample's first-layer deltas are all
+        // zero and only the `d != 0` skip keeps `0 · NaN` out of the
+        // weight gradient.
+        let mut poisoned = head_data(120, 23);
+        poisoned.inputs[37][5] = f32::NAN;
+        let fnn_train = fnn_data(150, 24);
+        let fnn_val = fnn_data(40, 25);
         let cases = [
             (
                 "weighted, validated, early stopping",
+                &[45, 22, 11, 3][..],
+                &train,
+                &val,
                 TrainConfig {
                     epochs: 40,
                     learning_rate: 3e-2,
@@ -973,6 +1109,9 @@ mod tests {
             ),
             (
                 "weighted, validated, no early stopping",
+                &[45, 22, 11, 3],
+                &train,
+                &val,
                 TrainConfig {
                     early_stop_patience: None,
                     class_weights: Some(weights),
@@ -983,33 +1122,72 @@ mod tests {
             ),
             (
                 "unweighted, validated",
+                &[45, 22, 11, 3],
+                &train,
+                &val,
                 TrainConfig {
                     weight_decay: 1e-3,
                     ..base.clone()
                 },
                 true,
             ),
-            ("unweighted, no validation", base, false),
+            (
+                "unweighted, no validation",
+                &[45, 22, 11, 3],
+                &train,
+                &val,
+                base.clone(),
+                false,
+            ),
+            (
+                "non-finite input",
+                &[45, 22, 11, 3],
+                &poisoned,
+                &val,
+                TrainConfig {
+                    batch_size: 16,
+                    ..base.clone()
+                },
+                true,
+            ),
+            (
+                "FNN shape, batch 13",
+                &[200, 100, 50, 9],
+                &fnn_train,
+                &fnn_val,
+                TrainConfig {
+                    epochs: 3,
+                    batch_size: 13,
+                    ..base
+                },
+                true,
+            ),
         ];
         let mut stopped_early = false;
-        for (name, config, validated) in cases {
-            let val = validated.then_some(&val);
-            let mut want = Mlp::new(&[45, 22, 11, 3], 17);
-            let want_report = oracle::train(&mut want, &train, val, &config);
-            let mut got = Mlp::new(&[45, 22, 11, 3], 17);
-            let got_report = got.train(&train, val, &config);
-            assert_eq!(got_report, want_report, "{name}: report");
-            let bits = |m: &Mlp| -> Vec<u32> {
-                m.weights
-                    .iter()
-                    .chain(&m.biases)
-                    .flatten()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert_eq!(bits(&got), bits(&want), "{name}: parameters");
-            assert_eq!(got, want, "{name}");
-            stopped_early |= got_report.train_losses.len() < config.epochs;
+        for tier in backward::Tier::on_host() {
+            for (name, sizes, train, val, config, validated) in &cases {
+                let val = validated.then_some(*val);
+                let mut want = Mlp::new(sizes, 17);
+                let want_report = oracle::train(&mut want, train, val, config);
+                let mut got = Mlp::new(sizes, 17);
+                let got_report = got.train_on(tier, train, val, config);
+                assert_eq!(got_report, want_report, "{tier:?} {name}: report");
+                let bits = |m: &Mlp| -> Vec<u32> {
+                    m.weights
+                        .iter()
+                        .chain(&m.biases)
+                        .flatten()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert!(
+                    got.weights.iter().flatten().all(|w| w.is_finite()),
+                    "{tier:?} {name}: weights left finite range"
+                );
+                assert_eq!(bits(&got), bits(&want), "{tier:?} {name}: parameters");
+                assert_eq!(&got, &want, "{tier:?} {name}");
+                stopped_early |= got_report.train_losses.len() < config.epochs;
+            }
         }
         assert!(stopped_early, "no case exercised early stopping");
     }
@@ -1021,12 +1199,31 @@ mod tests {
         let mut mlp = Mlp::new(&[2, 3, 2], 11);
         let x = [0.7f32, -0.4];
         let y = 1usize;
-        let mut grad_w: Vec<Vec<f32>> = mlp.weights.iter().map(|w| vec![0.0; w.len()]).collect();
-        let mut grad_b: Vec<Vec<f32>> = mlp.biases.iter().map(|b| vec![0.0; b.len()]).collect();
         let data = TrainData::new(vec![x.to_vec()], vec![y], 2).unwrap();
         let mut scratch = TrainScratch::new(&mlp, 1);
+        let mut grads = Grads::new(&mlp);
+        let mut loss = 0.0;
         mlp.forward_lanes(&data, &[0], &mut scratch);
-        mlp.backprop(0, y, 1.0, &mut grad_w, &mut grad_b, &mut scratch);
+        mlp.backward_lanes(
+            Tier::host(),
+            &data,
+            &[0],
+            None,
+            &mut loss,
+            &mut grads,
+            &mut scratch,
+        );
+        let grad_w: Vec<Vec<f32>> = grads
+            .w
+            .iter()
+            .zip(mlp.sizes())
+            .map(|(g, &n_in)| {
+                g.chunks_exact(row_stride(n_in + 1))
+                    .flat_map(|row| &row[..n_in])
+                    .copied()
+                    .collect()
+            })
+            .collect();
 
         let loss_of = |mlp: &Mlp| {
             let p = mlp.predict_proba(&x);

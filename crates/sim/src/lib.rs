@@ -54,6 +54,7 @@
 
 mod dataset;
 mod level;
+mod lockstep;
 pub mod multiplex;
 mod params;
 mod persist;

@@ -5,7 +5,8 @@ use mlr_num::Complex;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 
-use crate::trajectory::{baseband_response_into, sample_level_timeline_into, LevelSegment};
+use crate::lockstep::{self, Lockstep, Ring, Tier};
+use crate::trajectory::{push_runs, sample_level_timeline_into, LevelSegment, Run};
 use crate::{BasisState, ChipConfig, Level, Shot, ShotRecord, TransitionEvent};
 
 /// Revision of the simulated physics and RNG stream. **Bump this whenever
@@ -16,16 +17,18 @@ use crate::{BasisState, ChipConfig, Level, Shot, ShotRecord, TransitionEvent};
 pub const SIMULATOR_REVISION: u32 = 2;
 
 /// Reusable per-worker scratch memory for [`ReadoutSimulator::simulate_shot_into`]:
-/// the per-qubit baseband responses of one shot (flattened qubit-major),
-/// one qubit's level timeline, and one channel's crosstalk-mixed baseband.
+/// the level timeline of the qubit being drawn, every qubit's runs of
+/// constant steady state (qubit-major), one resonator state per qubit for
+/// the lockstep loop, and the loop's per-block sample planes.
 ///
 /// Dataset generation holds one scratch per worker thread, so filling an
 /// arena performs **zero per-shot heap allocation** for trace memory.
 #[derive(Debug, Default, Clone)]
 pub struct SimScratch {
-    basebands: Vec<Complex>,
     segments: Vec<LevelSegment>,
-    mixed: Vec<Complex>,
+    runs: Vec<Run>,
+    rings: Vec<Ring>,
+    planes: Vec<f64>,
 }
 
 /// Simulates digitised readout shots for a configured chip.
@@ -48,10 +51,9 @@ pub struct SimScratch {
 #[derive(Debug, Clone)]
 pub struct ReadoutSimulator {
     config: ChipConfig,
-    /// Precomputed per-qubit tone phasors `e^{+i 2π f_q t_n}` — sin/cos is
-    /// the dominant cost of naive shot generation, so it is paid once per
-    /// simulator instead of once per shot.
-    tone_tables: Vec<Vec<Complex>>,
+    /// The chip's tone phasors, ring-up factors and crosstalk rows, laid
+    /// out for the lockstep loop.
+    lockstep: Lockstep,
     /// The ADC's least significant bit, `2 · full_scale / 2^bits`, or
     /// `None` when quantisation is off.
     adc_lsb: Option<f64>,
@@ -71,22 +73,13 @@ impl ReadoutSimulator {
         config
             .validate_for_acquisition()
             .expect("invalid chip configuration");
-        let dt_us = config.dt_us();
-        let tone_tables = config
-            .qubits
-            .iter()
-            .map(|q| {
-                (0..config.n_samples)
-                    .map(|n| Complex::cis(std::f64::consts::TAU * q.if_freq_mhz * n as f64 * dt_us))
-                    .collect()
-            })
-            .collect();
+        let lockstep = Lockstep::new(&config);
         let adc_lsb = config
             .adc_bits
             .map(|bits| 2.0 * config.adc_full_scale / (1u64 << bits) as f64);
         Self {
             config,
-            tone_tables,
+            lockstep,
             adc_lsb,
         }
     }
@@ -127,8 +120,16 @@ impl ReadoutSimulator {
     /// ground-truth metadata is returned as a [`ShotRecord`]; `scratch` is
     /// reused across calls so no per-shot trace memory is allocated.
     ///
-    /// Bit-identical to [`ReadoutSimulator::simulate_shot`]: same RNG draw
-    /// order, same floating-point operation order.
+    /// Bit-identical to [`ReadoutSimulator::simulate_shot`]. The RNG is
+    /// drawn in a fixed order: preparation leakage qubit by qubit, each
+    /// qubit's level timeline in turn, then the receiver noise sample by
+    /// sample (I then Q). Between the timelines and the noise, one
+    /// sample-major loop advances every qubit's ring-up recurrence in
+    /// lockstep and mixes crosstalk and tones from the fresh samples, with
+    /// each sample's floating-point operations in the order of a
+    /// per-sample loop over channels (AVX2 where the host has it, a
+    /// bit-identical scalar mirror elsewhere); the ADC quantiser finishes
+    /// the trace in a pass of its own.
     ///
     /// # Panics
     ///
@@ -136,6 +137,18 @@ impl ReadoutSimulator {
     /// or `out` is not exactly `n_samples` long.
     pub fn simulate_shot_into(
         &self,
+        prepared: &BasisState,
+        rng: &mut impl Rng,
+        scratch: &mut SimScratch,
+        out: &mut [Complex],
+    ) -> ShotRecord {
+        self.simulate_shot_on(Tier::host(), prepared, rng, scratch, out)
+    }
+
+    /// [`ReadoutSimulator::simulate_shot_into`] on a chosen kernel tier.
+    fn simulate_shot_on(
+        &self,
+        tier: Tier,
         prepared: &BasisState,
         rng: &mut impl Rng,
         scratch: &mut SimScratch,
@@ -160,24 +173,19 @@ impl ReadoutSimulator {
             }
         }
 
-        // 2. Level dynamics and per-qubit baseband responses, written into
-        //    the qubit-major scratch buffer.
+        // 2. Level dynamics: every qubit's timeline, drawn in qubit order,
+        //    becomes its runs of constant steady state.
         let SimScratch {
-            basebands,
             segments,
-            mixed,
+            runs,
+            rings,
+            planes,
         } = scratch;
-        basebands.clear();
-        basebands.resize(n_qubits * n_samples, Complex::ZERO);
+        runs.clear();
+        rings.clear();
         let mut events = Vec::new();
         let mut final_state = initial.clone();
-        for ((q, params), bb) in self
-            .config
-            .qubits
-            .iter()
-            .enumerate()
-            .zip(basebands.chunks_exact_mut(n_samples))
-        {
+        for (q, params) in self.config.qubits.iter().enumerate() {
             sample_level_timeline_into(params, initial.level(q), duration, rng, segments);
             for w in segments.windows(2) {
                 events.push(TransitionEvent {
@@ -188,44 +196,22 @@ impl ReadoutSimulator {
                 });
             }
             final_state.set_level(q, segments.last().expect("nonempty timeline").level);
-            baseband_response_into(params, segments, dt_us, bb);
+            rings.push(self.lockstep.ring(q, runs.len()));
+            push_runs(params, segments, dt_us, n_samples, runs);
         }
 
-        // 3 + 4. Crosstalk mixing and frequency multiplexing, one
-        // whole-window pass per channel: the channel picks up its
-        // neighbours' basebands and lands on the feedline at its tone
-        // frequency. Every sample sees the same operations in the same
-        // order as a per-sample loop over channels, so the sums are
-        // bit-identical to it.
-        out.fill(Complex::ZERO);
-        for (q, (row, tone)) in self
-            .config
-            .crosstalk
-            .iter()
-            .zip(&self.tone_tables)
-            .enumerate()
-        {
-            mixed.clear();
-            mixed.extend_from_slice(&basebands[q * n_samples..][..n_samples]);
-            for (p, &beta) in row.iter().enumerate() {
-                if p != q && beta != 0.0 {
-                    let neighbour = &basebands[p * n_samples..][..n_samples];
-                    for (m, &b) in mixed.iter_mut().zip(neighbour) {
-                        *m += b.scale(beta);
-                    }
-                }
-            }
-            for ((o, &m), &t) in out.iter_mut().zip(mixed.iter()).zip(tone) {
-                *o += m * t;
-            }
-        }
+        // 3 + 4. Resonator responses, crosstalk mixing and frequency
+        //    multiplexing in one lockstep pass over the window.
+        self.lockstep.run(tier, runs, rings, planes, out);
 
         // 5. Receiver noise, drawn sample by sample (I then Q), and the
-        // ADC transfer function finish the trace.
+        //    ADC transfer function finish the trace.
         let noise = Normal::new(0.0, self.config.rx_noise).expect("validated sigma");
         for slot in out.iter_mut() {
             *slot += Complex::new(noise.sample(rng), noise.sample(rng));
-            *slot = self.quantize(*slot);
+        }
+        if let Some(lsb) = self.adc_lsb {
+            lockstep::quantize(tier, out, self.config.adc_full_scale, lsb);
         }
 
         events.sort_by(|a, b| a.time_us.partial_cmp(&b.time_us).expect("finite times"));
@@ -234,19 +220,6 @@ impl ReadoutSimulator {
             initial,
             final_state,
             events,
-        }
-    }
-
-    /// Applies the ADC transfer function (clipping + uniform quantisation) to
-    /// one complex sample.
-    fn quantize(&self, s: Complex) -> Complex {
-        match self.adc_lsb {
-            None => s,
-            Some(lsb) => {
-                let fs = self.config.adc_full_scale;
-                let q = |x: f64| (x.clamp(-fs, fs) / lsb).round() * lsb;
-                Complex::new(q(s.re), q(s.im))
-            }
         }
     }
 }
@@ -529,8 +502,11 @@ mod tests {
     #[test]
     fn simulation_is_bit_identical_to_the_per_sample_oracle() {
         // Chips: the paper preset (asymmetric crosstalk, 12-bit ADC), an
-        // unquantised odd-length window, and a short-lived, leak-prone chip
-        // with dense crosstalk so mid-trace jumps are common.
+        // unquantised odd-length window, a short-lived, leak-prone chip
+        // with dense crosstalk so mid-trace jumps are common, a lone qubit
+        // (no crosstalk at all), a crowded line of twelve (more qubits
+        // than registers, every row dense) and a chip whose crosstalk rows
+        // hold zeros, so channels skip some neighbours.
         let paper = ChipConfig::five_qubit_paper();
         let mut odd = ChipConfig::five_qubit_paper();
         odd.n_samples = 137;
@@ -554,34 +530,65 @@ mod tests {
             q.exc_ef_per_us = 0.5;
             q.prep_leak_prob = 0.2;
         }
+        let mut lone = ChipConfig::uniform(1);
+        lone.n_samples = 99;
+        lone.qubits[0].t1_ge_us = 0.5;
+        lone.qubits[0].prep_leak_prob = 0.3;
+        let mut crowded = crate::FeedlineSpec::crowded(12).chip();
+        crowded.n_samples = 122;
+        let mut sparse = ChipConfig::five_qubit_paper();
+        sparse.n_samples = 203;
+        sparse.crosstalk[0] = vec![0.0; 5];
+        sparse.crosstalk[2][1] = 0.0;
+        sparse.crosstalk[2][4] = 0.0;
+        sparse.crosstalk[4][0] = 0.0;
+        sparse.crosstalk[4][2] = 0.25;
+        for q in &mut sparse.qubits {
+            q.t1_ge_us = 0.7;
+            q.exc_ge_per_us = 0.6;
+        }
+        let tiers: Vec<Tier> = if Tier::host() == Tier::Scalar {
+            vec![Tier::Scalar]
+        } else {
+            vec![Tier::Scalar, Tier::host()]
+        };
+        let chips = [paper, odd, jumpy, lone, crowded, sparse];
         let mut events_seen = 0usize;
         let mut leaks_seen = 0usize;
-        for (c, config) in [paper, odd, jumpy].into_iter().enumerate() {
-            let sim = ReadoutSimulator::new(config.clone());
-            let n = config.n_qubits();
-            let mut scratch = SimScratch::default();
-            let mut out = vec![Complex::ZERO; config.n_samples];
-            let mut seeds = StdRng::seed_from_u64(0x5eed + c as u64);
-            for k in 0..40 {
-                let seed: u64 = seeds.gen();
-                let prepared = BasisState::from_flat_index(k % 3usize.pow(n as u32), n, 3);
-                let (want_raw, want) =
-                    oracle::shot(&config, &prepared, &mut StdRng::seed_from_u64(seed));
-                let got = sim.simulate_shot_into(
-                    &prepared,
-                    &mut StdRng::seed_from_u64(seed),
-                    &mut scratch,
-                    &mut out,
-                );
-                let bits = |xs: &[Complex]| -> Vec<(u64, u64)> {
-                    xs.iter()
-                        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-                        .collect()
-                };
-                assert_eq!(bits(&out), bits(&want_raw), "chip {c} shot {k} trace");
-                assert_eq!(got, want, "chip {c} shot {k} record");
-                events_seen += got.events.len();
-                leaks_seen += usize::from(got.initial != got.prepared);
+        for tier in tiers {
+            for (c, config) in chips.iter().enumerate() {
+                let sim = ReadoutSimulator::new(config.clone());
+                let n = config.n_qubits();
+                let mut scratch = SimScratch::default();
+                let mut out = vec![Complex::ZERO; config.n_samples];
+                let mut seeds = StdRng::seed_from_u64(0x5eed + c as u64);
+                for k in 0..40 {
+                    let seed: u64 = seeds.gen();
+                    let prepared =
+                        BasisState::from_flat_index(k % 3usize.pow(n.min(12) as u32), n, 3);
+                    let (want_raw, want) =
+                        oracle::shot(config, &prepared, &mut StdRng::seed_from_u64(seed));
+                    let got = sim.simulate_shot_on(
+                        tier,
+                        &prepared,
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut scratch,
+                        &mut out,
+                    );
+                    let bits = |xs: &[Complex]| -> Vec<(u64, u64)> {
+                        xs.iter()
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(
+                        bits(&out),
+                        bits(&want_raw),
+                        "{tier:?} chip {c} shot {k} trace"
+                    );
+                    assert_eq!(got, want, "{tier:?} chip {c} shot {k} record");
+                    events_seen += got.events.len();
+                    leaks_seen += usize::from(got.initial != got.prepared);
+                }
             }
         }
         assert!(events_seen > 20, "only {events_seen} mid-trace transitions");

@@ -128,38 +128,99 @@ pub(crate) fn steady_state(params: &QubitParams, level: Level) -> Complex {
     )
 }
 
-/// Integrates the resonator response to a level timeline.
+/// The factor `e^{-dt/τ}` by which the resonator's distance to its
+/// steady state shrinks over one sample period.
+pub(crate) fn ring_up_factor(params: &QubitParams, dt_us: f64) -> f64 {
+    let tau_us = params.ring_up_tau_ns * 1e-3;
+    (-dt_us / tau_us).exp()
+}
+
+/// One stretch of a qubit's readout window over which its resonator
+/// relaxes toward a single steady state: the samples from the previous
+/// run's `end` up to `end` (exclusive). A run may be empty.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Run {
+    /// One past the run's last sample.
+    pub(crate) end: usize,
+    /// The steady state the resonator relaxes toward.
+    pub(crate) target: Complex,
+}
+
+/// Appends the runs of a level timeline over an `n_samples` window to
+/// `runs`, one per segment: sample `n` belongs to the first segment whose
+/// end lies after `n · dt_us`, and the last segment takes every remaining
+/// sample. The runs tile `0..n_samples` in order.
+pub(crate) fn push_runs(
+    params: &QubitParams,
+    segments: &[LevelSegment],
+    dt_us: f64,
+    n_samples: usize,
+    runs: &mut Vec<Run>,
+) {
+    let mut n = 0;
+    for (i, seg) in segments.iter().enumerate() {
+        let end = if i + 1 == segments.len() {
+            n_samples
+        } else {
+            first_sample_not_before(seg.end_us, dt_us, n, n_samples)
+        };
+        runs.push(Run {
+            end,
+            target: steady_state(params, seg.level),
+        });
+        n = end;
+    }
+}
+
+/// The first sample `m` in `from..n_samples` with `m · dt_us` not below
+/// `t_us`, or `n_samples` if there is none. `m · dt_us` never decreases
+/// as `m` grows, so the samples before `t_us` form a prefix: start at the
+/// rounded estimate and walk to its exact edge.
+fn first_sample_not_before(t_us: f64, dt_us: f64, from: usize, n_samples: usize) -> usize {
+    let before = |m: usize| (m as f64 * dt_us) < t_us;
+    let guess = (t_us / dt_us).ceil();
+    let mut m = if guess > from as f64 {
+        (guess as usize).min(n_samples)
+    } else {
+        from
+    };
+    while m > from && !before(m - 1) {
+        m -= 1;
+    }
+    while m < n_samples && before(m) {
+        m += 1;
+    }
+    m
+}
+
+/// Integrates one qubit's resonator response to a level timeline — the
+/// one-qubit form of the simulator's lockstep loop, which advances every
+/// qubit's recurrence over the same [`push_runs`] runs.
 ///
 /// The resonator starts empty (`s(0) = 0`, ring-up) and relaxes toward the
 /// steady-state point of the currently occupied level with time constant
 /// `ring_up_tau_ns`; a mid-trace jump re-targets the relaxation, producing
 /// the characteristic kinked trajectories that relaxation/excitation matched
-/// filters key on.
-///
-/// Writes one complex (I, Q) sample per slot of `out` — the
-/// allocation-free form the arena-filling simulator uses. The target is
-/// constant over a segment, so its phasor is computed once per segment;
-/// sample `n` belongs to the first segment whose end lies after
-/// `n · dt_us` (the last segment takes every remaining sample).
+/// filters key on. Writes one complex (I, Q) sample per slot of `out`.
+#[cfg(test)]
 pub(crate) fn baseband_response_into(
     params: &QubitParams,
     segments: &[LevelSegment],
     dt_us: f64,
     out: &mut [Complex],
 ) {
-    let tau_us = params.ring_up_tau_ns * 1e-3;
-    let alpha = (-dt_us / tau_us).exp();
+    let alpha = ring_up_factor(params, dt_us);
+    let mut runs = Vec::new();
+    push_runs(params, segments, dt_us, out.len(), &mut runs);
     let mut s = Complex::ZERO;
     let mut n = 0;
-    for (i, seg) in segments.iter().enumerate() {
-        let last = i + 1 == segments.len();
-        let target = steady_state(params, seg.level);
-        while n < out.len() && (last || (n as f64 * dt_us) < seg.end_us) {
+    for run in runs {
+        for slot in &mut out[n..run.end] {
             // First-order relaxation toward the target over one sample period.
-            s = target + (s - target).scale(alpha);
-            out[n] = s;
-            n += 1;
+            s = run.target + (s - run.target).scale(alpha);
+            *slot = s;
         }
+        n = run.end;
     }
 }
 

@@ -1512,10 +1512,17 @@ proptest! {
                 }
             })
             .collect();
-        let mut dst = vec![0.0f32; src.len()];
-        mlr_core::plan::narrow_f32(&src, &mut dst);
-        for (i, (&x, &got)) in src.iter().zip(&dst).enumerate() {
-            prop_assert!(same_bits(got, x as f32), "{}: {:e} -> {:e}, want {:e}", i, x, got, x as f32);
+        // Every start within eight samples of a 64-byte line boundary: the
+        // scalar prologue up to the boundary, then the vector bodies.
+        let mut padded = vec![0.0f64; 7];
+        padded.extend_from_slice(&src);
+        for offset in 0..8 {
+            let src = &padded[offset..];
+            let mut dst = vec![0.0f32; src.len()];
+            mlr_core::plan::narrow_f32(src, &mut dst);
+            for (i, (&x, &got)) in src.iter().zip(&dst).enumerate() {
+                prop_assert!(same_bits(got, x as f32), "offset {}, {}: {:e} -> {:e}, want {:e}", offset, i, x, got, x as f32);
+            }
         }
     }
 
