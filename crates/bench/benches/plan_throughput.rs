@@ -1,10 +1,11 @@
 //! Criterion microbenches of the compiled inference plans: the fused
-//! single-pass kernels ([`mlr_core::CompiledPlan`]) vs the original
-//! layered stages (extract → standardize → head) on the same shots, for
-//! every family the plan compiler converts.
+//! single-pass kernels ([`mlr_core::CompiledPlan`]) vs the reference
+//! path (`plan::eval` on the family's unfused graph, one single-pair dot
+//! per row and shot) on the same shots, for every family the plan
+//! compiler converts.
 //!
 //! The acceptance bar tracked in `BENCH_throughput.json`: the fused plan
-//! must never be slower than the layered reference — it folds the
+//! must never be slower than the reference — it folds the
 //! standardizer into downstream weights, scores the matched-filter bank
 //! in register blocks over a contiguous f32 tile, runs the heads over
 //! 8-shot lanes, and dispatches to the AVX2 kernels where the host
@@ -56,7 +57,7 @@ fn bench_plan_vs_layered(c: &mut Criterion) {
         group.bench_function(&format!("{}_fused_{total}", model.name()), |b| {
             b.iter(|| black_box(model.predict_batch(black_box(&shots))))
         });
-        // The layered reference path the plan replaced.
+        // The reference path the plan is checked against.
         group.bench_function(&format!("{}_layered_{total}", model.name()), |b| {
             b.iter(|| black_box(model.predict_batch_layered(black_box(&shots))))
         });

@@ -228,10 +228,10 @@ pub fn measure_throughput(
     }
 }
 
-/// Times `model`'s **layered** batch path (`predict_batch_layered`: the
-/// original per-stage extract → standardise → head pipeline) over `shots`:
-/// three passes after a warm-up, fastest wins — the before-side of the
-/// plan-vs-layered throughput comparison.
+/// Times `model`'s **reference** batch path (`predict_batch_layered`:
+/// `plan::eval_batch` on the unfused graph for the plan families) over
+/// `shots`: three passes after a warm-up, fastest wins — the before-side
+/// of the plan-vs-reference throughput comparison.
 ///
 /// # Panics
 ///

@@ -93,11 +93,12 @@ COMMANDS:
                  --dir DIR   shard cache (fingerprint-keyed; hits load)
                  --json      append MUX-N{n}-PERQ / MUX-N{n}-JOINT rows
                  --bench-file FILE (default BENCH_throughput.json)
-                 --check-plan  tighten the always-on fused-vs-layered
+                 --check-plan  tighten the always-on fused-vs-reference
                                label check (0.1% budget) to exact
                                equality on every held-out shot
     throughput Per-shot vs batched inference rate of a trained design,
-               fused-plan vs layered where the family compiles a plan
+               fused plan vs its reference (the unfused graph run by
+               plan::eval) where the family compiles a plan
                  --design NAME  --qubits N  --shots N  --seed N  --samples N
                  --epochs N
                  --json        append fused+layered rows (git-rev stamped,
@@ -105,7 +106,7 @@ COMMANDS:
                                --design this sweeps every plan-capable design
                  --bench-file FILE (default BENCH_throughput.json)
                  --check-plan  fail if any fused plan is slower than its
-                               layered reference path
+                               reference path
     serve-stats
                Serve a multi-tenant fleet (cheap registry tenants: LDA,
                QDA, HMM cycled) through the async session path and print
@@ -738,7 +739,7 @@ struct MuxArm {
 /// preparations (same chip, disjoint state combinations — the shot-level
 /// test split of the training shard would let heads memorise the crosstalk
 /// pattern of each prepared state, which is exactly what a crowding study
-/// must not reward). Also measures fused throughput and fused-vs-layered
+/// must not reward). Also measures fused throughput and fused-vs-reference
 /// label equality (budgeted at the repo-wide 0.1 % of shots, the same bar
 /// `measure_throughput` holds batch-vs-per-shot to).
 ///
@@ -780,7 +781,7 @@ fn fit_mux_arm(
     if plan_mismatches > budget {
         return Err(CliError::Usage(format!(
             "joint_neighbors = {joint_neighbors}: fused plan labels diverge from the \
-             layered path on {plan_mismatches}/{} held-out shots (budget {budget})",
+             reference path on {plan_mismatches}/{} held-out shots (budget {budget})",
             eval_shots.len()
         )));
     }
@@ -991,9 +992,9 @@ fn cmd_throughput(args: &Args) -> Result<(), CliError> {
     for spec in &specs {
         let model = registry::fit(spec, &ds, &split, seed);
         let report = mlr_bench::measure_throughput(&model, &shots);
-        // Where the family compiles a fused plan, also time the original
-        // layered per-stage pipeline — the before/after of the plan
-        // compiler.
+        // Where the family compiles a fused plan, also time its reference
+        // path (`plan::eval` on the unfused graph) — the before/after of
+        // the plan compiler.
         let layered_rate = model
             .has_plan()
             .then(|| mlr_bench::measure_layered_rate(&model, &shots));
@@ -1033,7 +1034,7 @@ fn cmd_throughput(args: &Args) -> Result<(), CliError> {
                 });
                 if confirmed {
                     return Err(CliError::Usage(format!(
-                        "{spec}: fused plan ({:.0} shots/s) is slower than the layered path ({rate:.0} shots/s)",
+                        "{spec}: fused plan ({:.0} shots/s) is slower than the reference path ({rate:.0} shots/s)",
                         report.batch_rate
                     )));
                 }

@@ -23,11 +23,14 @@ use crate::dist_sq;
 pub struct KMeans {
     k: usize,
     max_iter: usize,
-    n_init: usize,
     seed: u64,
 }
 
 impl KMeans {
+    /// Independent initialisations per fit; the run with the lowest
+    /// inertia is kept.
+    const N_INIT: usize = 4;
+
     /// Creates a clusterer for `k` clusters with default settings
     /// (20 restarts are unnecessary at this scale; 4 inits, 100 iterations).
     ///
@@ -39,7 +42,6 @@ impl KMeans {
         Self {
             k,
             max_iter: 100,
-            n_init: 4,
             seed: 0,
         }
     }
@@ -56,18 +58,6 @@ impl KMeans {
         self
     }
 
-    /// Sets how many independent initialisations to try, keeping the best
-    /// (default 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_init == 0`.
-    pub fn with_n_init(mut self, n_init: usize) -> Self {
-        assert!(n_init > 0, "n_init must be positive");
-        self.n_init = n_init;
-        self
-    }
-
     /// Clusters `points`, returning the best run by inertia.
     ///
     /// # Panics
@@ -81,14 +71,14 @@ impl KMeans {
         assert!(points.iter().all(|p| p.len() == dim), "ragged points");
 
         let mut best: Option<KMeansResult> = None;
-        for init in 0..self.n_init {
+        for init in 0..Self::N_INIT {
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(init as u64));
             let run = self.run_once(points, dim, &mut rng);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);
             }
         }
-        best.expect("n_init >= 1")
+        best.expect("N_INIT >= 1")
     }
 
     fn run_once(&self, points: &[Vec<f64>], dim: usize, rng: &mut StdRng) -> KMeansResult {

@@ -35,12 +35,14 @@ use crate::{dist_sq, KMeans};
 #[derive(Debug, Clone)]
 pub struct SpectralClustering {
     k: usize,
-    n_neighbors: usize,
     max_points: usize,
     seed: u64,
 }
 
 impl SpectralClustering {
+    /// Graph neighbours per node in the kNN affinity graph.
+    const N_NEIGHBORS: usize = 10;
+
     /// Creates a spectral clusterer for `k` clusters (10 neighbours,
     /// 240-point eigensolve cap by default).
     ///
@@ -51,21 +53,9 @@ impl SpectralClustering {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            n_neighbors: 10,
             max_points: 240,
             seed: 0,
         }
-    }
-
-    /// Sets the number of graph neighbours per node (default 10).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_neighbors == 0`.
-    pub fn with_n_neighbors(mut self, n_neighbors: usize) -> Self {
-        assert!(n_neighbors > 0, "n_neighbors must be positive");
-        self.n_neighbors = n_neighbors;
-        self
     }
 
     /// Caps the number of points used for the eigensolve (default 240);
@@ -110,7 +100,7 @@ impl SpectralClustering {
         };
         let sample: Vec<&Vec<f64>> = sample_idx.iter().map(|&i| &points[i]).collect();
         let n = sample.len();
-        let knn = self.n_neighbors.min(n - 1).max(1);
+        let knn = Self::N_NEIGHBORS.min(n - 1).max(1);
 
         // Pairwise squared distances.
         let mut d2 = vec![vec![0.0; n]; n];

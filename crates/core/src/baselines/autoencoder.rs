@@ -296,13 +296,24 @@ impl AutoencoderBaseline {
             })
             .collect::<Vec<QubitAe>>();
 
-        let plan = plan::compile(ae_graph(&demod, &models, config.decimation));
+        Self::from_parts(demod, models, config.decimation)
+    }
+
+    /// Assembles the model; its plan is compiled from [`Self::graph`]'s graph.
+    fn from_parts(demod: Demodulator, models: Vec<QubitAe>, decimation: usize) -> Self {
+        let plan = plan::compile(ae_graph(&demod, &models, decimation));
         Self {
             demod,
             models,
-            decimation: config.decimation,
+            decimation,
             plan,
         }
+    }
+
+    /// The unfused op graph the plan is compiled from: the reference
+    /// [`plan::eval`] interprets.
+    pub(crate) fn graph(&self) -> OpGraph {
+        ae_graph(&self.demod, &self.models, self.decimation)
     }
 
     /// Borrows the compiled single-pass inference plan.
@@ -310,9 +321,9 @@ impl AutoencoderBaseline {
         &self.plan
     }
 
-    /// Reference layered path — demodulate, decimate, standardise, encode,
-    /// classify per stage — kept as the exactness reference the plan
-    /// property tests compare against.
+    /// The fit-time pipeline per stage — demodulate, decimate, standardise,
+    /// encode, classify — that the model's unfused op graph is
+    /// pinned against.
     pub fn predict_shot_layered(&self, raw: &[Complex]) -> Vec<usize> {
         self.models
             .iter()
@@ -325,12 +336,6 @@ impl AutoencoderBaseline {
                 model.predict(&f)
             })
             .collect()
-    }
-
-    /// Layered batch path ([`Self::predict_shot_layered`] fanned over
-    /// cores).
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        crate::par_map(shots, |raw| self.predict_shot_layered(raw))
     }
 
     /// Decimation window in ADC samples.
@@ -425,14 +430,11 @@ impl AutoencoderBaseline {
                 saved.decimation, chip.n_samples
             )));
         }
-        let demod = Demodulator::new(&chip);
-        let plan = plan::compile(ae_graph(&demod, &saved.models, saved.decimation));
-        Ok(Self {
-            demod,
-            models: saved.models,
-            decimation: saved.decimation,
-            plan,
-        })
+        Ok(Self::from_parts(
+            Demodulator::new(&chip),
+            saved.models,
+            saved.decimation,
+        ))
     }
 }
 
@@ -493,11 +495,33 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_layered_labels() {
+    fn graph_matches_the_fit_time_pipeline() {
+        // The graph's decimation rows and `take` slices must give what each
+        // stack computes on its demodulated, decimated features.
         let (ds, split) = dataset();
         let ae = AutoencoderBaseline::fit(&ds, &split, &quick_config());
+        let graph = ae.graph();
         let shots: Vec<&[Complex]> = split.test.iter().map(|&i| ds.raw(i)).collect();
-        assert_eq!(ae.predict_batch(&shots), ae.predict_batch_layered(&shots));
+        for (&i, raw) in split.test.iter().zip(&shots) {
+            let got = plan::eval(&graph, raw);
+            assert_eq!(got.levels, ae.predict_shot_layered(raw), "shot {i}");
+            for (q, (logits, model)) in got.logits.iter().zip(&ae.models).enumerate() {
+                let f = iq_features(&boxcar_decimate(
+                    &ae.demod.demodulate(raw, q),
+                    ae.decimation,
+                ));
+                plan::assert_logits_close(
+                    logits,
+                    &model.head.forward(&model.encode(&f)),
+                    &format!("shot {i}, qubit {q}"),
+                );
+            }
+        }
+        let layered: Vec<Vec<usize>> = shots
+            .iter()
+            .map(|raw| ae.predict_shot_layered(raw))
+            .collect();
+        assert_eq!(ae.predict_batch(&shots), layered);
         // One kernel row per (qubit, decimated IQ feature): 2 qubits ×
         // 2 × ⌈200/25⌉ = 32 rows, and the standardizer folded forward into
         // the encoder first layers.

@@ -406,6 +406,12 @@ impl DiscriminantAnalysis {
         self.kind
     }
 
+    /// The unfused op graph an LDA plan is compiled from: the reference
+    /// [`plan::eval`] interprets. `None` for QDA.
+    pub(crate) fn graph(&self) -> Option<OpGraph> {
+        (self.kind == DiscriminantKind::Lda).then(|| lda_graph(&self.demod, &self.models))
+    }
+
     /// Borrows the compiled single-pass plan — `Some` for LDA, `None` for
     /// QDA, whose per-class quadratic form does not lower to an f32 kernel
     /// bank (QDA serves through the bit-identical f64 single-pass scorer
@@ -467,9 +473,10 @@ impl DiscriminantAnalysis {
             .collect()
     }
 
-    /// Reference layered path — demodulate, integrate, score the full
-    /// Gaussian discriminant in `f64` — kept as the exactness reference
-    /// the plan property tests compare against.
+    /// Reference per-qubit path — demodulate, integrate, score the full
+    /// Gaussian discriminant in `f64` — the reference QDA's single-pass
+    /// scorer is checked against bit for bit (and LDA's labels away from
+    /// exact ties).
     pub fn predict_shot_layered(&self, raw: &[Complex]) -> Vec<usize> {
         self.models
             .iter()
@@ -481,16 +488,9 @@ impl DiscriminantAnalysis {
             .collect()
     }
 
-    /// Layered batch path ([`Self::predict_shot_layered`] fanned over
-    /// cores).
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        crate::par_map(shots, |raw| self.predict_shot_layered(raw))
-    }
-
     /// Layered linear discriminant scores for one trace, per qubit: the
-    /// class-constant quadratic term dropped, exactly what the plan's
-    /// kernel rows compute — the logit reference for the plan property
-    /// tests.
+    /// class-constant quadratic term dropped, exactly what the LDA graph's
+    /// kernel rows compute — what that graph is pinned against.
     pub fn scores_layered(&self, raw: &[Complex]) -> Vec<Vec<f64>> {
         self.models
             .iter()
@@ -637,32 +637,33 @@ mod tests {
     }
 
     #[test]
-    fn lda_plan_matches_layered() {
+    fn lda_graph_matches_the_fit_time_pipeline() {
+        // One row per (qubit, level) must give the f64 linear scores and
+        // the full Gaussian discriminant's labels.
         let (ds, split) = dataset();
         let lda = DiscriminantAnalysis::fit(&ds, &split, DiscriminantKind::Lda);
         let plan = lda.plan().expect("LDA compiles a plan");
         // One kernel row per (qubit, level), empty branches: the whole
         // pipeline is a single matrix against the raw trace.
         assert_eq!(plan.n_kernel_rows(), 2 * 3);
+        let graph = lda.graph().expect("LDA has a graph");
         let shots: Vec<&[Complex]> = split.test.iter().map(|&i| ds.raw(i)).collect();
-        assert_eq!(lda.predict_batch(&shots), lda.predict_batch_layered(&shots));
+        for (&i, raw) in split.test.iter().zip(&shots) {
+            let got = plan::eval(&graph, raw);
+            assert_eq!(got.levels, lda.predict_shot_layered(raw), "shot {i}");
+            for (q, (logits, scores)) in got.logits.iter().zip(lda.scores_layered(raw)).enumerate()
+            {
+                plan::assert_logits_close(logits, &scores, &format!("shot {i}, qubit {q}"));
+            }
+        }
+        let layered: Vec<Vec<usize>> = shots
+            .iter()
+            .map(|raw| lda.predict_shot_layered(raw))
+            .collect();
+        assert_eq!(lda.predict_batch(&shots), layered);
         // The QDA scorer's entry points are QDA-only.
         assert!(lda.scores_with(shots[0], cmul_sum_f64).is_none());
         assert!(lda.predict_shot_with(shots[0], cmul_sum_f64).is_none());
-        // The fused rows compute the layered linear scores (quadratic
-        // class-constant dropped) — compare logits within f32 noise.
-        for &i in split.test.iter().take(10) {
-            let fused = plan.logits_shot(ds.raw(i));
-            let layered = lda.scores_layered(ds.raw(i));
-            for (fq, lq) in fused.iter().zip(&layered) {
-                for (&f, &l) in fq.iter().zip(lq) {
-                    assert!(
-                        (f64::from(f) - l).abs() <= 1e-3 * (1.0 + l.abs()),
-                        "fused {f} vs layered {l}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -670,6 +671,7 @@ mod tests {
         let (ds, split) = dataset();
         let qda = DiscriminantAnalysis::fit(&ds, &split, DiscriminantKind::Qda);
         assert!(qda.plan().is_none());
+        assert!(qda.graph().is_none());
     }
 
     #[test]

@@ -108,10 +108,16 @@ impl FnnBaseline {
         }
         mlp.train(&data, val_data.as_ref(), &train_cfg);
 
+        Self::from_parts(standardizer, mlp, n_qubits, levels)
+    }
+
+    /// Assembles the model; its plan is compiled from [`Self::graph`]'s graph.
+    fn from_parts(standardizer: Standardizer, mlp: Mlp, n_qubits: usize, levels: usize) -> Self {
+        let n_samples = mlp.input_len() / 2;
         let plan = plan::compile(plan::fnn_graph(
             &standardizer,
             &mlp,
-            dataset.config().n_samples,
+            n_samples,
             n_qubits,
             levels,
         ));
@@ -122,6 +128,18 @@ impl FnnBaseline {
             levels,
             plan,
         }
+    }
+
+    /// The unfused op graph the plan is compiled from (see
+    /// [`plan::fnn_graph`]): the reference [`plan::eval`] interprets.
+    pub(crate) fn graph(&self) -> plan::OpGraph {
+        plan::fnn_graph(
+            &self.standardizer,
+            &self.mlp,
+            self.mlp.input_len() / 2,
+            self.n_qubits,
+            self.levels,
+        )
     }
 
     /// Borrows the trained network.
@@ -137,25 +155,6 @@ impl FnnBaseline {
     /// Borrows the compiled single-pass inference plan.
     pub fn plan(&self) -> &CompiledPlan {
         &self.plan
-    }
-
-    /// Reference layered path — standardise `iq_features`, then the
-    /// network's own marginal decoding — kept as the bit-exactness
-    /// reference the plan property tests compare against.
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        let features: Vec<Vec<f64>> = crate::par_map(shots, |raw| iq_features(raw));
-        let xs = self.standardizer.transform_batch_f32(&features);
-        crate::par_map(&xs, |x| {
-            self.mlp.predict_marginal(x, self.n_qubits, self.levels)
-        })
-    }
-
-    /// Layered joint logits for one trace (the vector the marginal decode
-    /// softmaxes) — the reference the plan's logit property compares
-    /// against.
-    pub fn logits_layered(&self, raw: &[Complex]) -> Vec<f32> {
-        let x = self.standardizer.transform_f32(&iq_features(raw));
-        self.mlp.forward(&x)
     }
 }
 
@@ -228,20 +227,12 @@ impl FnnBaseline {
                 n_classes
             )));
         }
-        let plan = plan::compile(plan::fnn_graph(
-            &saved.standardizer,
-            &saved.mlp,
-            chip.n_samples,
+        Ok(Self::from_parts(
+            saved.standardizer,
+            saved.mlp,
             n_qubits,
             saved.levels,
-        ));
-        Ok(Self {
-            standardizer: saved.standardizer,
-            mlp: saved.mlp,
-            n_qubits,
-            levels: saved.levels,
-            plan,
-        })
+        ))
     }
 }
 
@@ -302,10 +293,23 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_layered_labels() {
+    fn graph_matches_the_fit_time_pipeline() {
+        // The graph's column permutation and standardizer fold must give
+        // what the network computes on standardised `iq_features`.
         let (ds, split, fnn) = fit_small();
+        let graph = fnn.graph();
         let shots: Vec<&[Complex]> = split.test.iter().map(|&i| ds.raw(i)).collect();
-        assert_eq!(fnn.predict_batch(&shots), fnn.predict_batch_layered(&shots));
+        for (&i, raw) in split.test.iter().zip(&shots) {
+            let x = fnn.standardizer.transform_f32(&iq_features(raw));
+            let got = plan::eval(&graph, raw);
+            assert_eq!(
+                got.levels,
+                fnn.mlp.predict_marginal(&x, fnn.n_qubits, fnn.levels),
+                "shot {i}"
+            );
+            plan::assert_logits_close(&got.logits[0], &fnn.mlp.forward(&x), &format!("shot {i}"));
+        }
+        assert_eq!(fnn.predict_batch(&shots), plan::eval_batch(&graph, &shots));
         // The first hidden layer became the kernel bank: one row per unit.
         assert_eq!(fnn.plan().n_kernel_rows(), fnn.mlp().sizes()[1]);
     }

@@ -5,7 +5,7 @@ use crate::{Discriminator, FeatureExtractor};
 use mlr_dsp::MatchedFilterKind;
 use mlr_nn::{Mlp, Standardizer, TrainConfig, TrainData};
 use mlr_num::Complex;
-use mlr_sim::{basis_state_count, BasisState, DatasetSplit, TraceDataset};
+use mlr_sim::{basis_state_count, DatasetSplit, TraceDataset};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of [`HerqulesBaseline::fit`].
@@ -103,6 +103,17 @@ impl HerqulesBaseline {
         // is part of what the evaluation measures.
         mlp.train(&data, val_data.as_ref(), &config.train);
 
+        Self::from_parts(extractor, standardizer, mlp, n_qubits, levels)
+    }
+
+    /// Assembles the model; its plan is compiled from [`Self::graph`]'s graph.
+    fn from_parts(
+        extractor: FeatureExtractor,
+        standardizer: Standardizer,
+        mlp: Mlp,
+        n_qubits: usize,
+        levels: usize,
+    ) -> Self {
         let plan = crate::plan::compile(crate::plan::joint_graph(
             &extractor,
             &standardizer,
@@ -120,6 +131,18 @@ impl HerqulesBaseline {
         }
     }
 
+    /// The unfused op graph the plan is compiled from: the reference
+    /// [`crate::plan::eval`] interprets.
+    pub(crate) fn graph(&self) -> crate::plan::OpGraph {
+        crate::plan::joint_graph(
+            &self.extractor,
+            &self.standardizer,
+            &self.mlp,
+            self.n_qubits,
+            self.levels,
+        )
+    }
+
     /// Borrows the fitted matched-filter feature extractor.
     pub fn extractor(&self) -> &FeatureExtractor {
         &self.extractor
@@ -131,48 +154,9 @@ impl HerqulesBaseline {
         &self.plan
     }
 
-    /// Batch inference through the original layered stages (extract,
-    /// standardise, joint classifier) — the reference the plan-vs-layered
-    /// property tests compare against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trace's length differs from the readout window.
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        let features = self.extractor.extract_batch_traces(shots);
-        let xs = self.standardizer.transform_batch_f32(&features);
-        self.mlp
-            .predict_batch(&xs)
-            .into_iter()
-            .map(|joint| self.decode_joint(joint))
-            .collect()
-    }
-
-    /// Joint logits of one trace through the layered reference stages —
-    /// what [`crate::CompiledPlan::logits_shot`] is checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's length differs from the readout window.
-    pub fn logits_layered(&self, raw: &[Complex]) -> Vec<Vec<f32>> {
-        let x = self
-            .standardizer
-            .transform_f32(&self.extractor.extract_fused(raw));
-        vec![self.mlp.forward(&x)]
-    }
-
     /// Borrows the trained joint classifier.
     pub fn mlp(&self) -> &Mlp {
         &self.mlp
-    }
-
-    /// Splits a joint-class argmax into per-qubit level indices.
-    fn decode_joint(&self, joint: usize) -> Vec<usize> {
-        BasisState::from_flat_index(joint, self.n_qubits, self.levels)
-            .levels()
-            .iter()
-            .map(|l| l.index())
-            .collect()
     }
 }
 
@@ -258,21 +242,13 @@ impl HerqulesBaseline {
             )));
         }
         let extractor = FeatureExtractor::from_parts(chip, saved.banks);
-        let plan = crate::plan::compile(crate::plan::joint_graph(
-            &extractor,
-            &saved.standardizer,
-            &saved.mlp,
+        Ok(Self::from_parts(
+            extractor,
+            saved.standardizer,
+            saved.mlp,
             n_qubits,
             saved.levels,
-        ));
-        Ok(Self {
-            extractor,
-            standardizer: saved.standardizer,
-            mlp: saved.mlp,
-            n_qubits,
-            levels: saved.levels,
-            plan,
-        })
+        ))
     }
 }
 

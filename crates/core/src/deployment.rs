@@ -82,50 +82,44 @@ impl DeployedDiscriminator {
             .iter()
             .map(|h| IntMlp::from_mlp(h, format))
             .collect();
-        let plan = crate::plan::compile(crate::plan::int_graph(
-            &source.extractor,
-            &source.standardizer,
-            &heads,
-        ));
-        Self {
-            extractor: source.extractor.clone(),
-            standardizer: source.standardizer.clone(),
+        Self::from_parts(
+            source.extractor.clone(),
+            source.standardizer.clone(),
             heads,
             format,
-            levels: source.levels,
+            source.levels,
+        )
+    }
+
+    /// Assembles the model; its plan is compiled from [`Self::graph`]'s graph.
+    fn from_parts(
+        extractor: FeatureExtractor,
+        standardizer: Standardizer,
+        heads: Vec<IntMlp>,
+        format: FixedPointFormat,
+        levels: usize,
+    ) -> Self {
+        let plan = crate::plan::compile(crate::plan::int_graph(&extractor, &standardizer, &heads));
+        Self {
+            extractor,
+            standardizer,
+            heads,
+            format,
+            levels,
             plan,
         }
+    }
+
+    /// The unfused op graph the plan is compiled from: the reference
+    /// [`crate::plan::eval`] interprets.
+    pub(crate) fn graph(&self) -> crate::plan::OpGraph {
+        crate::plan::int_graph(&self.extractor, &self.standardizer, &self.heads)
     }
 
     /// Borrows the compiled single-pass inference plan serving
     /// [`Discriminator::predict_shot`] / [`Discriminator::predict_batch`].
     pub fn plan(&self) -> &crate::CompiledPlan {
         &self.plan
-    }
-
-    /// Batch inference through the original layered stages (extract,
-    /// standardise, integer heads) — the reference the plan-vs-layered
-    /// property tests compare against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trace's length differs from the readout window.
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        self.predict_features_batch(&self.extractor.extract_batch_traces(shots))
-    }
-
-    /// Per-head dequantised outputs of one trace through the layered
-    /// reference stages — what [`crate::CompiledPlan::logits_shot`] is
-    /// checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's length differs from the readout window.
-    pub fn logits_layered(&self, raw: &[Complex]) -> Vec<Vec<f32>> {
-        let x = self
-            .standardizer
-            .transform_f32(&self.extractor.extract_fused(raw));
-        self.heads.iter().map(|h| h.forward(&x)).collect()
     }
 
     /// The deployed word format.
@@ -156,24 +150,6 @@ impl DeployedDiscriminator {
     pub fn predict_features(&self, features: &[f64]) -> Vec<usize> {
         let x = self.standardizer.transform_f32(features);
         self.heads.iter().map(|h| h.predict(&x)).collect()
-    }
-
-    /// Classifies a batch of pre-extracted feature vectors: standardise
-    /// once, then run each integer head over the whole batch. Decisions
-    /// are identical to mapping
-    /// [`DeployedDiscriminator::predict_features`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's length differs from the extractor's dimension.
-    pub fn predict_features_batch(&self, features: &[Vec<f64>]) -> Vec<Vec<usize>> {
-        let xs = self.standardizer.transform_batch_f32(features);
-        let per_head: Vec<Vec<usize>> = self
-            .heads
-            .iter()
-            .map(|h| xs.iter().map(|x| h.predict(x)).collect())
-            .collect();
-        crate::batch::transpose_decisions(&per_head, xs.len())
     }
 }
 
@@ -267,19 +243,13 @@ impl DeployedDiscriminator {
             }
         }
         let extractor = FeatureExtractor::from_parts_joint(chip, saved.banks, joint_neighbors);
-        let plan = crate::plan::compile(crate::plan::int_graph(
-            &extractor,
-            &saved.standardizer,
-            &saved.heads,
-        ));
-        Ok(Self {
+        Ok(Self::from_parts(
             extractor,
-            standardizer: saved.standardizer,
-            heads: saved.heads,
-            format: saved.format,
-            levels: saved.levels,
-            plan,
-        })
+            saved.standardizer,
+            saved.heads,
+            saved.format,
+            saved.levels,
+        ))
     }
 }
 

@@ -51,33 +51,22 @@ impl LeakageHarvest {
 #[derive(Debug, Clone)]
 pub struct NaturalLeakageDetector {
     clusterer: SpectralClustering,
-    merge_threshold: f64,
 }
 
 impl NaturalLeakageDetector {
+    /// Leak-cluster separation threshold: if the candidate leakage
+    /// centroid sits closer than `MERGE_THRESHOLD x d(|0⟩, |1⟩ centroids)`
+    /// to a computational centroid, the qubit is deemed leak-free and the
+    /// candidate cluster is merged back — this is what k=3 clustering
+    /// produces when no leakage lobe exists and a computational lobe gets
+    /// split instead.
+    const MERGE_THRESHOLD: f64 = 0.5;
+
     /// Creates a detector with the default spectral-clustering settings.
     pub fn new() -> Self {
         Self {
             clusterer: SpectralClustering::new(3).with_seed(17),
-            merge_threshold: 0.5,
         }
-    }
-
-    /// Replaces the spectral clusterer (must target 3 clusters).
-    pub fn with_clusterer(mut self, clusterer: SpectralClustering) -> Self {
-        self.clusterer = clusterer;
-        self
-    }
-
-    /// Sets the leak-cluster separation threshold (default 0.5): if the
-    /// candidate leakage centroid sits closer than
-    /// `threshold x d(|0⟩, |1⟩ centroids)` to a computational centroid, the
-    /// qubit is deemed leak-free and the candidate cluster is merged back —
-    /// this is what k=3 clustering produces when no leakage lobe exists and
-    /// a computational lobe gets split instead.
-    pub fn with_merge_threshold(mut self, threshold: f64) -> Self {
-        self.merge_threshold = threshold;
-        self
     }
 
     /// Clusters qubit `q`'s MTV points for the dataset shots selected by
@@ -223,7 +212,7 @@ impl NaturalLeakageDetector {
         let d01 = dist(&result.centroids[c0], &result.centroids[c1]);
         let d_leak = dist(&result.centroids[cl], &result.centroids[c0])
             .min(dist(&result.centroids[cl], &result.centroids[c1]));
-        if d_leak < self.merge_threshold * d01 {
+        if d_leak < Self::MERGE_THRESHOLD * d01 {
             let nearest_comp = if dist(&result.centroids[cl], &result.centroids[c0])
                 <= dist(&result.centroids[cl], &result.centroids[c1])
             {

@@ -74,7 +74,7 @@ pub use pipeline::{OursConfig, OursDiscriminator};
 pub use plan::CompiledPlan;
 pub use qec_bridge::DiscriminatorHerald;
 pub use registry::TrainedModel;
-pub use spec::{DiscriminatorSpec, TrainableDiscriminator};
+pub use spec::DiscriminatorSpec;
 pub use streaming::{
     evaluate_streaming, ShotStream, StreamingConfig, StreamingDecision, StreamingReadout,
     StreamingReport,

@@ -215,18 +215,12 @@ impl OursDiscriminator {
         let extractor =
             FeatureExtractor::from_parts_joint(saved.chip, saved.banks, joint_neighbors);
         // The plan is derived data: recompiled at load, never serialised.
-        let plan = crate::plan::compile(crate::plan::per_qubit_graph(
-            &extractor,
-            &saved.standardizer,
-            &saved.heads,
-        ));
-        Ok(OursDiscriminator {
+        Ok(OursDiscriminator::from_parts(
             extractor,
-            standardizer: saved.standardizer,
-            heads: saved.heads,
-            levels: saved.levels,
-            plan,
-        })
+            saved.standardizer,
+            saved.heads,
+            saved.levels,
+        ))
     }
 }
 

@@ -179,8 +179,19 @@ impl OursDiscriminator {
             })
             .collect();
 
+        Self::from_parts(extractor, standardizer, heads, levels)
+    }
+
+    /// Assembles the model; its plan is compiled from [`Self::graph`]'s graph.
+    pub(crate) fn from_parts(
+        extractor: FeatureExtractor,
+        standardizer: Standardizer,
+        heads: Vec<Mlp>,
+        levels: usize,
+    ) -> Self {
         let plan = crate::plan::compile(crate::plan::per_qubit_graph(
             &extractor,
+            extractor.window_samples(),
             &standardizer,
             &heads,
         ));
@@ -193,6 +204,17 @@ impl OursDiscriminator {
         }
     }
 
+    /// The unfused op graph the plan is compiled from: the reference
+    /// [`crate::plan::eval`] interprets.
+    pub(crate) fn graph(&self) -> crate::plan::OpGraph {
+        crate::plan::per_qubit_graph(
+            &self.extractor,
+            self.extractor.window_samples(),
+            &self.standardizer,
+            &self.heads,
+        )
+    }
+
     /// Borrows the fitted feature extractor (matched-filter banks).
     pub fn extractor(&self) -> &FeatureExtractor {
         &self.extractor
@@ -203,32 +225,6 @@ impl OursDiscriminator {
     /// call runs through.
     pub fn plan(&self) -> &crate::CompiledPlan {
         &self.plan
-    }
-
-    /// Batch inference through the original layered stages — extract,
-    /// standardise, heads — kept as the bit-exactness reference the
-    /// plan-vs-layered property tests compare [`Discriminator::predict_batch`]
-    /// against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trace's length differs from the readout window.
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        self.predict_features_batch(&self.extractor.extract_batch_traces(shots))
-    }
-
-    /// Per-head logits of one trace through the layered reference stages
-    /// (fused `f64` extraction, standardise, heads) — what the compiled
-    /// plan's [`crate::CompiledPlan::logits_shot`] is checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's length differs from the readout window.
-    pub fn logits_layered(&self, raw: &[Complex]) -> Vec<Vec<f32>> {
-        let x = self
-            .standardizer
-            .transform_f32(&self.extractor.extract_fused(raw));
-        self.heads.iter().map(|h| h.forward(&x)).collect()
     }
 
     /// Borrows qubit `q`'s classification head.
@@ -341,8 +337,8 @@ impl Discriminator for OursDiscriminator {
     /// standardizer is folded into the first head layers at compile time,
     /// so the whole shot is kernel dots plus the (tiny) head chains —
     /// identical arithmetic to one shot of the batch path, hence
-    /// bit-identical decisions. The layered per-stage path survives as
-    /// [`OursDiscriminator::predict_batch_layered`].
+    /// bit-identical decisions. The unfused graph ([`crate::plan::eval`])
+    /// is the reference it is checked against.
     fn predict_shot(&self, raw: &[Complex]) -> Vec<usize> {
         self.plan.predict_shot(raw)
     }
@@ -350,7 +346,7 @@ impl Discriminator for OursDiscriminator {
     /// Native batch inference through the compiled plan: demodulation-free
     /// tiled kernel scoring (rows read once per 16-shot tile) with the
     /// standardise step folded away, lowered to `f32` explicit-SIMD dots.
-    /// Decisions match the layered reference away from exact
+    /// Decisions match the unfused reference away from exact
     /// decision-boundary ties (scores agree to ≈1e-6 relative — `f32`
     /// rounding — far below any real margin).
     fn predict_batch(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
@@ -502,12 +498,35 @@ mod tests {
         // 5 × 22 first-layer rows > 45 kernels).
         assert!(!report.heads_into_bank);
         assert_eq!(ours.plan().n_kernel_rows(), 45);
-        // Plan decisions equal the layered reference across a real batch.
+        // Plan decisions equal the unfused reference across a real batch.
         let shots: Vec<&[mlr_num::Complex]> = split.test[..30].iter().map(|&i| ds.raw(i)).collect();
         assert_eq!(
             ours.predict_batch(&shots),
-            ours.predict_batch_layered(&shots)
+            crate::plan::eval_batch(&ours.graph(), &shots)
         );
+    }
+
+    #[test]
+    fn graph_matches_the_fit_time_pipeline() {
+        // The reference graph computes what the heads were trained on.
+        let (ds, split, ours) = fit_small();
+        let graph = ours.graph();
+        for &i in &split.test {
+            let raw = ds.raw(i);
+            let x = ours
+                .standardizer
+                .transform_f32(&ours.extractor.extract_fused(raw));
+            let got = crate::plan::eval(&graph, raw);
+            let levels: Vec<usize> = ours.heads.iter().map(|h| h.predict(&x)).collect();
+            assert_eq!(got.levels, levels, "shot {i}");
+            for (q, (logits, head)) in got.logits.iter().zip(&ours.heads).enumerate() {
+                crate::plan::assert_logits_close(
+                    logits,
+                    &head.forward(&x),
+                    &format!("shot {i}, qubit {q}"),
+                );
+            }
+        }
     }
 
     #[test]

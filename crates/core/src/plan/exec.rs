@@ -61,22 +61,22 @@ use super::graph::{AffineOp, Branch, DenseOp, MfBankOp, Op, OpGraph, OutputStage
 /// tile, one flattened-trace scratch serves the whole tile, and the heads
 /// run over its shots in two full 8-shot lane blocks. The tile size does
 /// not change any score (see the module docs), only the work per call.
-const PLAN_TILE: usize = 16;
+pub(super) const PLAN_TILE: usize = 16;
 
 // ------------------------------------------------------------- lowering
 
 /// A dense layer lowered to `f32`.
 #[derive(Debug, Clone)]
-struct DenseF32 {
-    n_in: usize,
+pub(super) struct DenseF32 {
+    pub(super) n_in: usize,
     n_out: usize,
-    w: Vec<f32>,
-    b: Vec<f32>,
-    relu: bool,
+    pub(super) w: Vec<f32>,
+    pub(super) b: Vec<f32>,
+    pub(super) relu: bool,
 }
 
 impl DenseF32 {
-    fn lower(d: &DenseOp) -> Self {
+    pub(super) fn lower(d: &DenseOp) -> Self {
         Self {
             n_in: d.n_in,
             n_out: d.n_out,
@@ -171,8 +171,8 @@ enum Decision {
 
 /// Argmax with the network's tie rule (strictly-greater, so ties go to the
 /// lowest index) — must match `mlr_nn`'s own argmax for plan decisions to
-/// equal layered decisions away from exact ties.
-fn argmax(xs: &[f32]) -> usize {
+/// equal the network's decisions away from exact ties.
+pub(super) fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate() {
         if x > xs[best] {
@@ -186,7 +186,7 @@ fn argmax(xs: &[f32]) -> usize {
 /// head with dense layers. Strictly-greater, so ties resolve to the lowest
 /// index — the rule of `Mlp::predict`. Unlike [`argmax`], a NaN first
 /// logit never wins.
-fn running_argmax(xs: &[f32]) -> usize {
+pub(super) fn running_argmax(xs: &[f32]) -> usize {
     let mut best = 0usize;
     let mut best_v = f32::NEG_INFINITY;
     for (i, &v) in xs.iter().enumerate() {
@@ -212,7 +212,7 @@ fn softmax_f32(logits: &[f32]) -> Vec<f32> {
 /// the joint classes, per-digit marginal mass (qubit 0 = most significant
 /// digit), argmax per digit with ties→lowest. Accumulation order matches
 /// the network's own implementation exactly.
-fn decide_marginal(logits: &[f32], n_qubits: usize, levels: usize) -> Vec<usize> {
+pub(super) fn decide_marginal(logits: &[f32], n_qubits: usize, levels: usize) -> Vec<usize> {
     let probs = softmax_f32(logits);
     let mut marginals = vec![vec![0.0f32; levels]; n_qubits];
     for (class, &p) in probs.iter().enumerate() {
@@ -227,7 +227,7 @@ fn decide_marginal(logits: &[f32], n_qubits: usize, levels: usize) -> Vec<usize>
 
 /// Splits a joint class index into per-qubit digits, most significant
 /// digit first — the same convention as `BasisState::from_flat_index`.
-fn decode_joint(joint: usize, n_qubits: usize, levels: usize) -> Vec<usize> {
+pub(super) fn decode_joint(joint: usize, n_qubits: usize, levels: usize) -> Vec<usize> {
     let mut digits = vec![0usize; n_qubits];
     let mut rem = joint;
     for d in digits.iter_mut().rev() {
@@ -235,6 +235,16 @@ fn decode_joint(joint: usize, n_qubits: usize, levels: usize) -> Vec<usize> {
         rem /= levels;
     }
     digits
+}
+
+/// A narrowed kernel row's scored span `(start, end)`: its nonzero
+/// window, over which the row's dot runs. An all-zero row gets the empty
+/// span (its score is the bias alone). Shared by the lowering and the
+/// reference interpreter, so both drop the same structural zeros.
+pub(super) fn nonzero_span(row: &[f32]) -> (usize, usize) {
+    let start = row.iter().position(|&x| x != 0.0).unwrap_or(0);
+    let end = row.iter().rposition(|&x| x != 0.0).map_or(start, |e| e + 1);
+    (start, end)
 }
 
 /// One tile's working buffers, reused across the tile's stages.
@@ -258,9 +268,9 @@ struct Scratch {
 /// lowered to `f32` tile kernels and executed tile-major (see the module
 /// docs).
 ///
-/// Compiled once at fit/load time ([`crate::plan::compile`]); the layered
-/// per-stage paths survive on each discriminator as the bit-exactness
-/// reference (`predict_batch_layered`).
+/// Compiled once at fit/load time ([`crate::plan::compile`]) from the
+/// family's unfused graph; [`crate::plan::eval`] interprets that same
+/// graph unfused as the reference the plan is checked against.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
     n_samples: usize,
@@ -274,8 +284,9 @@ pub struct CompiledPlan {
     /// decimation chunk (AE), a checkpoint prefix (OURS-STREAM) — only
     /// touch a window, and scoring skips the structural zeros outside it.
     /// Trimming drops exact-zero terms only (regrouping the reduction
-    /// lanes by at most one ulp); spans come from the f64 rows, so the
-    /// result stays deterministic and machine-independent.
+    /// lanes by at most one ulp); spans come from the narrowed rows
+    /// ([`nonzero_span`]), so the result stays deterministic and
+    /// machine-independent.
     row_spans: Vec<(usize, usize)>,
     row_bias: Vec<f32>,
     /// ReLU after the bank rows — set when a hidden dense layer was folded
@@ -328,12 +339,9 @@ impl CompiledPlan {
         let mut row_spans = Vec::with_capacity(n_rows);
         for row in &bank.rows {
             assert_eq!(row.len(), stride, "kernel row length != 2 × window");
+            let at = rows.len();
             rows.extend(row.iter().map(|&x| x as f32));
-            // Nonzero span in the f64 source (an all-zero row gets the
-            // empty span: its score is the bias alone).
-            let start = row.iter().position(|&x| x != 0.0).unwrap_or(0);
-            let end = row.iter().rposition(|&x| x != 0.0).map_or(start, |e| e + 1);
-            row_spans.push((start, end));
+            row_spans.push(nonzero_span(&rows[at..]));
         }
         let row_bias: Vec<f32> = bank.bias.iter().map(|&x| x as f32).collect();
         assert_eq!(row_bias.len(), n_rows, "bank bias length != row count");
@@ -421,9 +429,9 @@ impl CompiledPlan {
 
     /// The lowered plan as an [`OpGraph`]: the `f32` weights the executor
     /// scores, widened exactly to `f64`, with every per-qubit head's
-    /// feature range as its `take`. With [`CompiledPlan::kernel_spans`]
-    /// this is everything the executor computes from, so a reader can
-    /// re-score the plan pair by pair with the single-pair dot.
+    /// feature range as its `take` — everything the executor computes
+    /// from. [`crate::plan::eval`] on it re-scores the plan pair by pair
+    /// with the single-pair dot and reproduces the executor bit for bit.
     pub fn lowered_graph(&self) -> OpGraph {
         let widen = |xs: &[f32]| xs.iter().map(|&x| f64::from(x)).collect::<Vec<f64>>();
         let chain = |head: &CompiledHead| {
@@ -687,9 +695,9 @@ impl CompiledPlan {
     }
 
     /// Raw decision scores for one trace, per head: the logits each branch
-    /// argmaxes (for integer heads, the dequantised outputs). The
-    /// plan-vs-layered equivalence property compares these against the
-    /// layered reference within 1e-4 relative.
+    /// argmaxes (for integer heads, the dequantised outputs). The logit
+    /// property compares these against [`crate::plan::eval`] on the
+    /// family's unfused graph within 1e-4 relative.
     ///
     /// # Panics
     ///
@@ -765,7 +773,7 @@ mod tests {
     fn residual_affine_follows_the_bank_per_feature() {
         // `fuse` always absorbs the standardizer, so only a graph lowered
         // unfused keeps a residual affine. The tile executor must apply it
-        // after the bias exactly as the per-shot arithmetic does, and
+        // after the bias exactly as the reference interpreter does, and
         // decide a ragged batch as it decides each shot alone.
         let (n_samples, n_rows) = (37, 5);
         let stride = 2 * n_samples;
@@ -815,25 +823,22 @@ mod tests {
         let shots: Vec<&[Complex]> = traces.iter().map(Vec::as_slice).collect();
 
         let feats = plan.features_batch(&shots);
-        let Op::MfBank(bank) = &graph.trunk[1] else {
-            unreachable!()
-        };
-        let Op::Affine(affine) = &graph.trunk[2] else {
-            unreachable!()
-        };
-        for (f, raw) in feats.iter().zip(&shots) {
-            let flat: Vec<f32> = raw
-                .iter()
-                .flat_map(|z| [z.re as f32, z.im as f32])
-                .collect();
-            for (r, row) in rows.iter().enumerate() {
-                let row: Vec<f32> = row.iter().map(|&x| x as f32).collect();
-                let score = mlr_nn::dot_f32_scalar(&flat, &row) + bank.bias[r] as f32;
-                let want = score * affine.scale[r] as f32 + affine.shift[r] as f32;
-                assert_eq!(f[r].to_bits(), want.to_bits(), "feature {r}");
+        let batch = plan.predict_batch(&shots);
+        for (s, raw) in shots.iter().enumerate() {
+            let want = crate::plan::eval(&graph, raw);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&feats[s]), bits(&want.features), "features, shot {s}");
+            let logits = plan.logits_shot(raw);
+            assert_eq!(logits.len(), want.logits.len(), "heads, shot {s}");
+            for (got, want) in logits.iter().zip(&want.logits) {
+                assert_eq!(bits(got), bits(want), "logits, shot {s}");
             }
+            assert_eq!(batch[s], want.levels, "verdict, shot {s}");
+            assert_eq!(
+                plan.predict_shot(raw),
+                want.levels,
+                "per-shot verdict, shot {s}"
+            );
         }
-        let one_by_one: Vec<Vec<usize>> = shots.iter().map(|raw| plan.predict_shot(raw)).collect();
-        assert_eq!(plan.predict_batch(&shots), one_by_one);
     }
 }

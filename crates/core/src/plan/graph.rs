@@ -160,10 +160,3 @@ pub struct OpGraph {
     /// The decision structure consuming the trunk's features.
     pub output: OutputStage,
 }
-
-impl OpGraph {
-    /// Number of ops in the trunk (folding passes shrink this).
-    pub fn trunk_len(&self) -> usize {
-        self.trunk.len()
-    }
-}

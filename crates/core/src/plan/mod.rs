@@ -28,15 +28,21 @@
 //!
 //! Plans are **derived data**: every constructor (fit, load, quantise)
 //! compiles one, nothing is serialised, and the saved-model envelope is
-//! untouched. The layered per-stage paths survive on each discriminator
-//! (`predict_batch_layered`) as the bit-exactness reference the property
-//! tests compare against.
+//! untouched. Each plan family builds its **unfused** graph in one place
+//! (its crate-private `graph()`, listed by `TrainedModel::graphs`), and
+//! its plan is compiled from that graph.
+//!
+//! [`eval`] / [`eval_batch`] are the one reference path: they interpret a
+//! graph as written, each (row, shot) pair scored by the single-pair
+//! [`dot_f32`]. On a family's unfused graph they are what the fused plan
+//! is checked against; on [`CompiledPlan::lowered_graph`] they reproduce
+//! the executor bit for bit.
 //!
 //! Eight of the ten registry families compile a plan: OURS, OURS-NO-EMF,
 //! OURS-INT, and HERQULES through the shared extractor trunk; the FNN
 //! through `fnn_graph` (its first hidden layer *is* the bank, scored
 //! against the raw trace); OURS-STREAM through one prefix-windowed plan
-//! per checkpoint (`prefix_per_qubit_graph`); LDA and the autoencoder
+//! per checkpoint (`per_qubit_graph` over the checkpoint's prefix); LDA and the autoencoder
 //! through family-local builders in their own modules. The two that
 //! cannot: QDA's decision is a per-class quadratic form (Mahalanobis
 //! distance under per-class covariances) — not a fixed linear bank — and
@@ -45,7 +51,8 @@
 //! QDA still has a single-pass path, just not an f32 plan: it serves
 //! through an f64 scorer that demodulates every tone in one walk over the
 //! trace and scores each class from constants built at fit/load time,
-//! bit-identical to its layered reference (see `DiscriminantAnalysis`).
+//! bit-identical to its per-qubit Gaussian reference (see
+//! `DiscriminantAnalysis`).
 //!
 //! Joint crosstalk-aware kernels (`joint_neighbors > 0` on the OURS
 //! families) need no compiler support: widening a kernel row with a
@@ -53,10 +60,14 @@
 //! the lowering pass already computes each row's nonzero span from the
 //! data, so joint rows flow through the same banded-row executor.
 
+mod eval;
 mod exec;
 mod fuse;
 mod graph;
 
+#[cfg(test)]
+pub(crate) use eval::assert_logits_close;
+pub use eval::{eval, eval_batch, Evaluation};
 pub use exec::CompiledPlan;
 pub use fuse::{
     collapse_linear_heads, fold_affine_into_bank, fold_affine_into_dense, fuse, FuseReport,
@@ -89,10 +100,23 @@ pub fn compile(mut graph: OpGraph) -> CompiledPlan {
     CompiledPlan::lower(&graph, report)
 }
 
-/// Trunk over explicit kernel rows: flatten `n_samples`, score the rows,
-/// standardise. [`trunk`] is the full-window special case; the streaming
-/// builder passes prefix-truncated rows with per-checkpoint standardizers.
-fn trunk_from_rows(rows: Vec<Vec<f64>>, n_samples: usize, standardizer: &Standardizer) -> Vec<Op> {
+/// The shared trunk every extractor-based family starts from: flatten the
+/// first `n_samples` of the window, score the extractor's fused kernel rows
+/// truncated to that prefix (a streamed partial score *is* the full dot
+/// product over the first `2 × n_samples` interleaved weights), standardise.
+///
+/// # Panics
+///
+/// Panics (downstream) if any row is shorter than the prefix.
+fn trunk(extractor: &FeatureExtractor, n_samples: usize, standardizer: &Standardizer) -> Vec<Op> {
+    let rows: Vec<Vec<f64>> = extractor
+        .fused_rows()
+        .into_iter()
+        .map(|mut row| {
+            row.truncate(2 * n_samples);
+            row
+        })
+        .collect();
     let bias = vec![0.0; rows.len()];
     let scale: Vec<f64> = standardizer.stds().iter().map(|&s| 1.0 / s).collect();
     let shift: Vec<f64> = standardizer
@@ -112,62 +136,18 @@ fn trunk_from_rows(rows: Vec<Vec<f64>>, n_samples: usize, standardizer: &Standar
     ]
 }
 
-/// The shared trunk every extractor-based family starts from: flatten the
-/// window, score the extractor's fused kernels, standardise.
-fn trunk(extractor: &FeatureExtractor, standardizer: &Standardizer) -> Vec<Op> {
-    trunk_from_rows(
-        extractor.fused_rows(),
-        extractor.window_samples(),
-        standardizer,
-    )
-}
-
-/// Builds the OURS-family graph: shared trunk, one float MLP branch per
-/// qubit over the full feature vector.
+/// Builds the OURS-family graph over the first `n_samples` of the window:
+/// the shared trunk, then one float MLP branch per qubit over the full
+/// feature vector. OURS passes the whole window; each streaming
+/// checkpoint passes its prefix with its own standardizer and heads.
 pub(crate) fn per_qubit_graph(
-    extractor: &FeatureExtractor,
-    standardizer: &Standardizer,
-    heads: &[Mlp],
-) -> OpGraph {
-    OpGraph {
-        trunk: trunk(extractor, standardizer),
-        output: OutputStage::PerQubit {
-            branches: heads
-                .iter()
-                .map(|mlp| Branch {
-                    take: None,
-                    layers: DenseOp::chain_from_mlp(mlp),
-                })
-                .collect(),
-        },
-    }
-}
-
-/// Builds one streaming checkpoint's graph: the extractor's full-window
-/// fused kernel rows truncated to the checkpoint's sample prefix (a
-/// streamed partial score *is* the full dot product over the first
-/// `2 × n_samples` interleaved weights), that checkpoint's own
-/// standardizer re-folded over them, and its per-qubit heads.
-///
-/// # Panics
-///
-/// Panics (downstream) if any row is shorter than the prefix.
-pub(crate) fn prefix_per_qubit_graph(
     extractor: &FeatureExtractor,
     n_samples: usize,
     standardizer: &Standardizer,
     heads: &[Mlp],
 ) -> OpGraph {
-    let rows: Vec<Vec<f64>> = extractor
-        .fused_rows()
-        .into_iter()
-        .map(|mut row| {
-            row.truncate(2 * n_samples);
-            row
-        })
-        .collect();
     OpGraph {
-        trunk: trunk_from_rows(rows, n_samples, standardizer),
+        trunk: trunk(extractor, n_samples, standardizer),
         output: OutputStage::PerQubit {
             branches: heads
                 .iter()
@@ -190,7 +170,7 @@ pub(crate) fn joint_graph(
     levels: usize,
 ) -> OpGraph {
     OpGraph {
-        trunk: trunk(extractor, standardizer),
+        trunk: trunk(extractor, extractor.window_samples(), standardizer),
         output: OutputStage::Joint {
             layers: DenseOp::chain_from_mlp(mlp),
             n_qubits,
@@ -208,7 +188,7 @@ pub(crate) fn int_graph(
     heads: &[IntMlp],
 ) -> OpGraph {
     OpGraph {
-        trunk: trunk(extractor, standardizer),
+        trunk: trunk(extractor, extractor.window_samples(), standardizer),
         output: OutputStage::PerQubitInt {
             heads: heads.to_vec(),
         },

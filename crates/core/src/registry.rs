@@ -145,8 +145,7 @@ impl TrainedModel {
     }
 
     /// Borrows the concrete integer-datapath deployment when this is
-    /// the `OURS-INT` family (for format diagnostics and the layered
-    /// reference path).
+    /// the `OURS-INT` family (for format diagnostics and plan access).
     pub fn as_deployed(&self) -> Option<&DeployedDiscriminator> {
         match &self.inner {
             Family::Deployed(m) => Some(m),
@@ -155,8 +154,7 @@ impl TrainedModel {
     }
 
     /// Borrows the concrete joint-MLP baseline when this is the
-    /// `HERQULES` family (for plan diagnostics and the layered
-    /// reference path).
+    /// `HERQULES` family (for plan diagnostics).
     pub fn as_herqules(&self) -> Option<&HerqulesBaseline> {
         match &self.inner {
             Family::Herqules(m) => Some(m),
@@ -177,9 +175,11 @@ impl TrainedModel {
     /// inference plan ([`crate::CompiledPlan`]) — true for eight of the
     /// ten families: OURS, OURS-NO-EMF, OURS-INT, HERQULES, FNN,
     /// OURS-STREAM (one plan per checkpoint), LDA, and the autoencoder.
-    /// False for QDA (per-class quadratic form) and the HMM (sequential
-    /// decoding), which cannot lower to static kernel banks. QDA still
-    /// serves single-pass, through its bit-identical f64 scorer.
+    /// Each such plan is compiled from one of [`TrainedModel::graphs`],
+    /// which [`crate::plan::eval`] interprets as its reference. False for
+    /// QDA (per-class quadratic form) and the HMM (sequential decoding),
+    /// which cannot lower to static kernel banks. QDA still serves
+    /// single-pass, through its bit-identical f64 scorer.
     pub fn has_plan(&self) -> bool {
         !self.plans().is_empty()
     }
@@ -201,26 +201,44 @@ impl TrainedModel {
         }
     }
 
-    /// Batch inference through the family's original layered stages —
-    /// the reference implementation for plan-vs-layered comparisons
-    /// (throughput baselines, equivalence checks). QDA's layered path
-    /// demodulates and scores qubit by qubit, where its `predict_batch`
-    /// runs the bit-identical single-pass scorer; for the HMM this is the
-    /// same as [`Discriminator::predict_batch`].
+    /// The unfused op graphs this model's plans are compiled from,
+    /// parallel to [`TrainedModel::plans`]: one per checkpoint for
+    /// OURS-STREAM, one for the other plan families, none for QDA and the
+    /// HMM.
+    pub fn graphs(&self) -> Vec<crate::plan::OpGraph> {
+        match &self.inner {
+            Family::Ours(m) => vec![m.graph()],
+            Family::Deployed(m) => vec![m.graph()],
+            Family::Herqules(m) => vec![m.graph()],
+            Family::Fnn(m) => vec![m.graph()],
+            Family::Streaming(m) => m.graphs(),
+            Family::Autoencoder(m) => vec![m.graph()],
+            Family::Discriminant(m) => m.graph().into_iter().collect(),
+            Family::Hmm(_) => Vec::new(),
+        }
+    }
+
+    /// Batch inference through the family's reference path, the baseline
+    /// of every fused-vs-reference comparison: [`crate::plan::eval_batch`]
+    /// on the unfused graph for a one-plan family, the sample-at-a-time
+    /// [`StreamingReadout::process_shot_layered`] for OURS-STREAM, the
+    /// per-qubit [`DiscriminantAnalysis::predict_shot_layered`] for QDA,
+    /// and [`Discriminator::predict_batch`] for the HMM.
     ///
     /// # Panics
     ///
     /// As for [`Discriminator::predict_batch`].
     pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
         match &self.inner {
-            Family::Ours(m) => m.predict_batch_layered(shots),
-            Family::Deployed(m) => m.predict_batch_layered(shots),
-            Family::Herqules(m) => m.predict_batch_layered(shots),
-            Family::Fnn(m) => m.predict_batch_layered(shots),
-            Family::Streaming(m) => m.predict_batch_layered(shots),
-            Family::Autoencoder(m) => m.predict_batch_layered(shots),
-            Family::Discriminant(m) => m.predict_batch_layered(shots),
-            Family::Hmm(_) => self.inner.as_discriminator().predict_batch(shots),
+            Family::Streaming(m) => crate::par_map(shots, |raw| m.process_shot_layered(raw).levels),
+            Family::Discriminant(m) if m.plan().is_none() => {
+                crate::par_map(shots, |raw| m.predict_shot_layered(raw))
+            }
+            Family::Hmm(m) => m.predict_batch(shots),
+            _ => match self.graphs().as_slice() {
+                [graph] => crate::plan::eval_batch(graph, shots),
+                graphs => unreachable!("{} graphs for a single-plan family", graphs.len()),
+            },
         }
     }
 
@@ -302,11 +320,10 @@ impl Discriminator for TrainedModel {
 /// Trains the family `spec` names on the dataset's splits, returning the
 /// model with its provenance attached.
 ///
-/// `seed` overrides the spec's configured training seed (ignored by the
-/// training-free families), exactly as
-/// [`crate::TrainableDiscriminator::fit`] does — this is the same
-/// dispatch, but returning the concrete family so the result can be
-/// persisted.
+/// This is the one way to fit a model. `seed` overrides the spec's
+/// configured training seed (ignored by the training-free families), so
+/// one spec value can be fitted reproducibly under many seeds. The
+/// concrete family is kept, so the result can be persisted.
 ///
 /// # Panics
 ///
@@ -319,9 +336,8 @@ pub fn fit(
     split: &DatasetSplit,
     seed: u64,
 ) -> TrainedModel {
-    // The seed-override rule is shared with the spec layer's
-    // TrainableDiscriminator impls (`spec::seeded` / `spec::reseed_ours`),
-    // so spec-level and registry-level fits cannot diverge.
+    // The seed-override rule lives in the spec layer (`spec::seeded` /
+    // `spec::reseed_ours`).
     let inner = match spec {
         DiscriminatorSpec::Ours(c) => Family::Ours(OursDiscriminator::fit(
             dataset,

@@ -13,14 +13,12 @@
 //!   saved-model envelope;
 //! * a JSON round-trip (`{"family": "...", "config": {...}}`) so specs
 //!   travel inside [`crate::registry`]'s `SavedModel` v2 files;
-//! * a content [`DiscriminatorSpec::fingerprint`] for model caching;
-//! * one training entry point, [`TrainableDiscriminator::fit`],
-//!   implemented by every family's configuration type and by the spec
-//!   itself.
+//! * a content [`DiscriminatorSpec::fingerprint`] for model caching.
 //!
 //! Training through a spec and serving the result is the job of the next
-//! two layers: [`crate::registry`] (fit/save/load) and [`crate::engine`]
-//! (micro-batched serving).
+//! two layers: [`crate::registry`] (fit/save/load — [`crate::registry::fit`]
+//! is the one training entry point) and [`crate::engine`] (micro-batched
+//! serving).
 //!
 //! # Examples
 //!
@@ -39,37 +37,20 @@ use std::fmt;
 use std::str::FromStr;
 
 use mlr_nn::TrainConfig;
-use mlr_sim::{DatasetSplit, TraceDataset};
 use serde::{DeError, Deserialize, JsonValue, Serialize};
 
 use crate::{
-    AutoencoderBaseline, AutoencoderConfig, DeployedConfig, DeployedDiscriminator,
-    DiscriminantAnalysis, DiscriminantKind, Discriminator, FnnBaseline, FnnConfig,
-    HerqulesBaseline, HerqulesConfig, HmmBaseline, HmmConfig, OursConfig, OursDiscriminator,
-    StreamingConfig, StreamingReadout,
+    AutoencoderConfig, DeployedConfig, DiscriminantKind, Discriminator, FnnConfig, HerqulesConfig,
+    HmmConfig, OursConfig, StreamingConfig,
 };
 
-/// A trained discriminator as the spec layer hands it out: boxed, thread
-/// safe, ready for [`crate::evaluate`] or [`crate::ReadoutEngine`].
+/// A trained discriminator boxed for serving: thread safe, ready for
+/// [`crate::evaluate`] or [`crate::ReadoutEngine`].
 pub type BoxedDiscriminator = Box<dyn Discriminator + Send>;
 
-/// A design that can be trained on a dataset split into a ready
-/// [`Discriminator`].
-///
-/// Implemented by every family's configuration type ([`OursConfig`],
-/// [`HerqulesConfig`], [`DiscriminantKind`], …) and by
-/// [`DiscriminatorSpec`] itself, which dispatches to the family it names.
-/// `seed` overrides the configuration's own training seed (families
-/// without stochastic training — LDA/QDA, the HMM — ignore it), so one
-/// spec value can be fitted reproducibly under many seeds.
-pub trait TrainableDiscriminator {
-    /// Fits the design on the dataset's training/validation splits.
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator;
-}
-
 /// Returns `train` with its seed replaced by the spec-level `seed` — the
-/// one place the spec-level seed-override rule lives (shared by the
-/// per-config [`TrainableDiscriminator`] impls and [`crate::registry::fit`]).
+/// one place the spec-level seed-override rule of [`crate::registry::fit`]
+/// lives.
 pub(crate) fn seeded(train: &TrainConfig, seed: u64) -> TrainConfig {
     TrainConfig {
         seed,
@@ -331,89 +312,6 @@ impl Deserialize for DiscriminatorSpec {
             }
         };
         Ok(spec)
-    }
-}
-
-impl TrainableDiscriminator for OursConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        Box::new(OursDiscriminator::fit(
-            dataset,
-            split,
-            &reseed_ours(self, seed),
-        ))
-    }
-}
-
-impl TrainableDiscriminator for DeployedConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        let ours = OursDiscriminator::fit(dataset, split, &reseed_ours(&self.base, seed));
-        Box::new(DeployedDiscriminator::new(&ours, self.format))
-    }
-}
-
-impl TrainableDiscriminator for StreamingConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        let config = StreamingConfig {
-            base: reseed_ours(&self.base, seed),
-            ..self.clone()
-        };
-        Box::new(StreamingReadout::fit(dataset, split, &config))
-    }
-}
-
-impl TrainableDiscriminator for HerqulesConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        let config = HerqulesConfig {
-            train: seeded(&self.train, seed),
-            ..self.clone()
-        };
-        Box::new(HerqulesBaseline::fit(dataset, split, &config))
-    }
-}
-
-impl TrainableDiscriminator for FnnConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        let config = FnnConfig {
-            train: seeded(&self.train, seed),
-            ..self.clone()
-        };
-        Box::new(FnnBaseline::fit(dataset, split, &config))
-    }
-}
-
-impl TrainableDiscriminator for DiscriminantKind {
-    /// LDA/QDA fitting is deterministic; `seed` is ignored.
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, _seed: u64) -> BoxedDiscriminator {
-        Box::new(DiscriminantAnalysis::fit(dataset, split, *self))
-    }
-}
-
-impl TrainableDiscriminator for HmmConfig {
-    /// Segmental HMM fitting is deterministic; `seed` is ignored.
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, _seed: u64) -> BoxedDiscriminator {
-        Box::new(HmmBaseline::fit(dataset, split, self))
-    }
-}
-
-impl TrainableDiscriminator for AutoencoderConfig {
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        let config = AutoencoderConfig {
-            ae_train: seeded(&self.ae_train, seed),
-            head_train: seeded(&self.head_train, seed),
-            ..self.clone()
-        };
-        Box::new(AutoencoderBaseline::fit(dataset, split, &config))
-    }
-}
-
-impl TrainableDiscriminator for DiscriminatorSpec {
-    /// Dispatches to the family the spec names — literally
-    /// [`crate::registry::fit`] (one dispatch, shared with persistence),
-    /// boxed. `OursNoEmf` forces `include_emf = false` whatever its
-    /// payload says, so the ablation cannot silently regain the
-    /// excitation filters.
-    fn fit(&self, dataset: &TraceDataset, split: &DatasetSplit, seed: u64) -> BoxedDiscriminator {
-        Box::new(crate::registry::fit(self, dataset, split, seed))
     }
 }
 

@@ -26,7 +26,7 @@ use mlr_num::Complex;
 use mlr_sim::{DatasetSplit, TraceDataset};
 use serde::{Deserialize, Serialize};
 
-use crate::plan::{self, CompiledPlan};
+use crate::plan::{self, CompiledPlan, OpGraph};
 use crate::{Discriminator, FeatureExtractor, OursConfig};
 
 /// Configuration of [`StreamingReadout::fit`].
@@ -146,27 +146,6 @@ pub struct StreamingReadout {
     plans: Vec<CompiledPlan>,
 }
 
-/// Compiles every checkpoint's prefix-windowed plan. A streamed partial
-/// score at `n` samples *is* the full fused kernel's dot product over the
-/// first `2n` interleaved weights, so each checkpoint lowers to an
-/// ordinary full-window plan on a truncated bank.
-fn compile_checkpoint_plans(
-    extractor: &FeatureExtractor,
-    checkpoints: &[Checkpoint],
-) -> Vec<CompiledPlan> {
-    checkpoints
-        .iter()
-        .map(|cp| {
-            plan::compile(plan::prefix_per_qubit_graph(
-                extractor,
-                cp.n_samples,
-                &cp.standardizer,
-                &cp.heads,
-            ))
-        })
-        .collect()
-}
-
 impl StreamingReadout {
     /// Fits the full-length matched-filter banks once, then one
     /// standardiser + head set per checkpoint on the partial scores of
@@ -263,14 +242,21 @@ impl StreamingReadout {
             })
             .collect::<Vec<Checkpoint>>();
 
-        let plans = compile_checkpoint_plans(&extractor, &checkpoints);
         Self {
             extractor,
             checkpoints,
             confidence: config.confidence,
             n_qubits,
-            plans,
+            plans: Vec::new(),
         }
+        .with_plans()
+    }
+
+    /// Compiles every checkpoint's plan from [`Self::graphs`] — the one
+    /// place the fit and load paths build them.
+    fn with_plans(mut self) -> Self {
+        self.plans = self.graphs().into_iter().map(plan::compile).collect();
+        self
     }
 
     /// Configured checkpoint sample counts, ascending.
@@ -320,10 +306,10 @@ impl StreamingReadout {
     }
 
     /// Streams a captured trace sample-at-a-time through the accumulator
-    /// datapath ([`StreamingReadout::begin_shot`]) — the layered reference
-    /// path the fused [`StreamingReadout::process_shot`] is property-tested
-    /// against, and the exact arithmetic an FPGA's running-sum deployment
-    /// performs.
+    /// datapath ([`StreamingReadout::begin_shot`]) — the reference the
+    /// fused [`StreamingReadout::process_shot`] (early exit included) is
+    /// checked against, and the exact arithmetic an FPGA's running-sum
+    /// deployment performs.
     ///
     /// # Panics
     ///
@@ -351,20 +337,22 @@ impl StreamingReadout {
         crate::par_map(shots, |raw| self.process_shot(raw))
     }
 
-    /// Layered batch path: every shot through the sample-at-a-time
-    /// accumulator reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any trace is shorter than the last checkpoint.
-    pub fn predict_batch_layered(&self, shots: &[&[Complex]]) -> Vec<Vec<usize>> {
-        crate::par_map(shots, |raw| self.process_shot_layered(raw).levels)
-    }
-
     /// Borrows the compiled prefix-windowed plans, one per checkpoint in
     /// checkpoint order.
     pub fn checkpoint_plans(&self) -> &[CompiledPlan] {
         &self.plans
+    }
+
+    /// The unfused graphs the checkpoint plans are compiled from, in
+    /// checkpoint order: each checkpoint's prefix-truncated bank, its own
+    /// standardizer and heads — the reference [`plan::eval`] interprets.
+    pub(crate) fn graphs(&self) -> Vec<OpGraph> {
+        self.checkpoints
+            .iter()
+            .map(|cp| {
+                plan::per_qubit_graph(&self.extractor, cp.n_samples, &cp.standardizer, &cp.heads)
+            })
+            .collect()
     }
 
     /// Decision at checkpoint `ci` for a partial feature vector, plus
@@ -653,14 +641,14 @@ impl StreamingReadout {
             }
         }
         let extractor = FeatureExtractor::from_parts_joint(chip, saved.banks, joint_neighbors);
-        let plans = compile_checkpoint_plans(&extractor, &saved.checkpoints);
         Ok(Self {
             extractor,
             checkpoints: saved.checkpoints,
             confidence: saved.confidence,
             n_qubits,
-            plans,
-        })
+            plans: Vec::new(),
+        }
+        .with_plans())
     }
 }
 
@@ -793,18 +781,36 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_layered_at_every_checkpoint() {
+    fn checkpoint_graphs_match_the_checkpoint_heads() {
+        // Each checkpoint's prefix-truncated graph must give what that
+        // checkpoint's heads compute on its prefix scores.
         let (ds, split, readout) = fit_streaming(2.0);
+        let graphs = readout.graphs();
         assert_eq!(readout.plans.len(), readout.checkpoints.len());
-        for (ci, cp_plan) in readout.plans.iter().enumerate() {
-            let n = readout.checkpoints[ci].n_samples;
+        assert_eq!(graphs.len(), readout.checkpoints.len());
+        let stages = readout.checkpoints.iter().zip(&readout.plans).zip(&graphs);
+        for (ci, ((cp, cp_plan), graph)) in stages.enumerate() {
+            let n = cp.n_samples;
             assert_eq!(cp_plan.n_samples(), n);
             for &i in split.test.iter().take(30) {
-                let raw = ds.raw(i);
-                let fused = cp_plan.predict_shot(&raw[..n]);
-                let (layered, _) =
-                    readout.checkpoint_decision(ci, &readout.extractor.extract_prefix(raw, n));
-                assert_eq!(fused, layered.levels, "shot {i} checkpoint {ci}");
+                let raw = &ds.raw(i)[..n];
+                let features = readout.extractor.extract_prefix(ds.raw(i), n);
+                let (layered, _) = readout.checkpoint_decision(ci, &features);
+                assert_eq!(
+                    cp_plan.predict_shot(raw),
+                    layered.levels,
+                    "shot {i} checkpoint {ci}"
+                );
+                let got = plan::eval(graph, raw);
+                assert_eq!(got.levels, layered.levels, "shot {i} checkpoint {ci}");
+                let x = cp.standardizer.transform_f32(&features);
+                for (q, (logits, head)) in got.logits.iter().zip(&cp.heads).enumerate() {
+                    plan::assert_logits_close(
+                        logits,
+                        &head.forward(&x),
+                        &format!("shot {i}, checkpoint {ci}, qubit {q}"),
+                    );
+                }
             }
         }
     }

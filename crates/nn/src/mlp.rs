@@ -116,8 +116,8 @@ impl Mlp {
 
     /// Dense layer primitive: `out = W x + b`, ReLU if `relu`. Scored by
     /// the workspace's shared explicit-SIMD dot ([`crate::dot_f32`]) — the
-    /// same kernel the compiled inference plans run on, so layered
-    /// reference paths and fused plans share one arithmetic (training
+    /// same kernel the compiled inference plans and their reference
+    /// interpreter run on, so all of them share one arithmetic (training
     /// scores its mini-batches through the bit-identical
     /// [`crate::dot_lanes`]).
     #[inline]

@@ -284,155 +284,6 @@ fn kernel_data(n: usize, seed: u64, flavour: usize) -> Vec<f32> {
         .collect()
 }
 
-/// One shot through the per-shot plan arithmetic the tile executor
-/// replaced: the trunk features, each head's logits (the integer heads'
-/// dequantised outputs) and the per-qubit verdict.
-struct ReferenceShot {
-    feats: Vec<f32>,
-    logits: Vec<Vec<f32>>,
-    levels: Vec<usize>,
-}
-
-/// Re-scores one shot from a plan's own lowered weights with the scalar
-/// single-pair dot per (kernel row, shot) over the row's span and per
-/// (head row, shot), then applies the decision rules (running argmax for
-/// heads with layers, first-element argmax for collapsed heads and
-/// marginals).
-fn reference_shot(
-    graph: &mlr_core::plan::OpGraph,
-    spans: &[(usize, usize)],
-    raw: &[Complex],
-) -> ReferenceShot {
-    use mlr_core::plan::{dot_f32_scalar as dot, DenseOp, Op, OutputStage};
-    let narrow = |xs: &[f64]| xs.iter().map(|&x| x as f32).collect::<Vec<f32>>();
-    let flat: Vec<f32> = raw
-        .iter()
-        .flat_map(|z| [z.re as f32, z.im as f32])
-        .collect();
-    let Op::MfBank(bank) = &graph.trunk[1] else {
-        panic!("lowered trunk scores a bank second");
-    };
-    let mut feats: Vec<f32> = bank
-        .rows
-        .iter()
-        .zip(&bank.bias)
-        .zip(spans)
-        .map(|((row, &bias), &(s0, s1))| {
-            let score = dot(&flat[s0..s1], &narrow(&row[s0..s1])) + bias as f32;
-            if bank.relu {
-                score.max(0.0)
-            } else {
-                score
-            }
-        })
-        .collect();
-    if let Some(Op::Affine(affine)) = graph.trunk.get(2) {
-        for ((v, &a), &b) in feats.iter_mut().zip(&affine.scale).zip(&affine.shift) {
-            *v = *v * a as f32 + b as f32;
-        }
-    }
-    let forward = |layers: &[DenseOp], x: &[f32]| {
-        let mut cur = x.to_vec();
-        for d in layers {
-            cur = narrow(&d.w)
-                .chunks_exact(d.n_in)
-                .zip(narrow(&d.b))
-                .map(|(row, bias)| {
-                    let acc = bias + dot(row, &cur);
-                    if d.relu {
-                        acc.max(0.0)
-                    } else {
-                        acc
-                    }
-                })
-                .collect();
-        }
-        cur
-    };
-    let running_argmax = |xs: &[f32]| {
-        xs.iter()
-            .enumerate()
-            .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                if v > bv {
-                    (i, v)
-                } else {
-                    (bi, bv)
-                }
-            })
-            .0
-    };
-    let first_argmax = |xs: &[f32]| {
-        let mut best = 0;
-        for (i, &x) in xs.iter().enumerate() {
-            if x > xs[best] {
-                best = i;
-            }
-        }
-        best
-    };
-    let digits = |mut joint: usize, n_qubits: usize, levels: usize| {
-        let mut out = vec![0usize; n_qubits];
-        for d in out.iter_mut().rev() {
-            *d = joint % levels;
-            joint /= levels;
-        }
-        out
-    };
-    let (logits, levels) = match &graph.output {
-        OutputStage::PerQubit { branches } => branches
-            .iter()
-            .map(|br| {
-                let x = &feats[br.take.clone().expect("lowered heads carry their range")];
-                if br.layers.is_empty() {
-                    (x.to_vec(), first_argmax(x))
-                } else {
-                    let logits = forward(&br.layers, x);
-                    let level = running_argmax(&logits);
-                    (logits, level)
-                }
-            })
-            .unzip(),
-        OutputStage::Joint {
-            layers,
-            n_qubits,
-            levels,
-        } => {
-            let logits = forward(layers, &feats);
-            let joint = running_argmax(&logits);
-            (vec![logits], digits(joint, *n_qubits, *levels))
-        }
-        OutputStage::JointMarginal {
-            layers,
-            n_qubits,
-            levels,
-        } => {
-            let logits = forward(layers, &feats);
-            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = logits.iter().map(|&z| (z - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            let mut marginals = vec![vec![0.0f32; *levels]; *n_qubits];
-            for (class, e) in exps.iter().enumerate() {
-                let mut rem = class;
-                for digit in (0..*n_qubits).rev() {
-                    marginals[digit][rem % levels] += e / sum;
-                    rem /= levels;
-                }
-            }
-            let decided = marginals.iter().map(|m| first_argmax(m)).collect();
-            (vec![logits], decided)
-        }
-        OutputStage::PerQubitInt { heads } => (
-            heads.iter().map(|h| h.forward(&feats)).collect(),
-            heads.iter().map(|h| h.predict(&feats)).collect(),
-        ),
-    };
-    ReferenceShot {
-        feats,
-        logits,
-        levels,
-    }
-}
-
 proptest! {
     #[test]
     fn basis_state_flat_index_roundtrip(
@@ -1278,53 +1129,42 @@ proptest! {
     fn plan_logits_track_layered_logits(pick in any::<u64>()) {
         // Folding the standardizer into downstream weights and lowering
         // to f32 must not move any score by more than float-precision
-        // noise. Float heads get a 1e-4 relative budget; the integer
-        // family additionally tolerates a few fixed-point LSBs, since an
-        // f32-vs-f64 standardize difference can flip one quantisation
-        // bucket at the head's input.
+        // noise: every plan of every plan family (each OURS-STREAM
+        // checkpoint's included) against `plan::eval` on the unfused
+        // graph it was compiled from. Float heads get a 1e-4 relative
+        // budget; the integer family additionally tolerates a few
+        // fixed-point LSBs, since a folded-vs-unfolded standardize
+        // difference can flip one quantisation bucket at the head's
+        // input.
         let zoo = zoo();
         let raw = zoo.dataset.raw((pick as usize) % zoo.dataset.len());
-
-        let herqules = zoo
-            .models
-            .iter()
-            .find_map(|m| m.as_herqules())
-            .expect("zoo holds a HERQULES model");
-        let deployed = zoo
-            .models
-            .iter()
-            .find_map(|m| m.as_deployed())
-            .expect("zoo holds an OURS-INT model");
-        let slack = 4.0 * deployed.format().resolution() as f32;
-
-        let cases = [
-            ("OURS", zoo.ours.plan().logits_shot(raw), zoo.ours.logits_layered(raw), 0.0),
-            (
-                "HERQULES",
-                herqules.plan().logits_shot(raw),
-                herqules.logits_layered(raw),
-                0.0,
-            ),
-            (
-                "OURS-INT",
-                deployed.plan().logits_shot(raw),
-                deployed.logits_layered(raw),
-                slack,
-            ),
-        ];
-        for (name, fused, layered, extra) in &cases {
-            prop_assert_eq!(fused.len(), layered.len(), "branch count, {}", name);
-            for (f, l) in fused.iter().zip(layered) {
-                prop_assert_eq!(f.len(), l.len(), "logit count, {}", name);
-                for (a, b) in f.iter().zip(l) {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-4 * (1.0 + b.abs()) + extra,
-                        "{}: fused logit {} vs layered {}",
-                        name, a, b
-                    );
+        let mut families = 0;
+        for model in &zoo.models {
+            let extra = model
+                .as_deployed()
+                .map_or(0.0, |d| 4.0 * d.format().resolution() as f32);
+            let (plans, graphs) = (model.plans(), model.graphs());
+            prop_assert_eq!(plans.len(), graphs.len(), "graph count, {}", model.name());
+            families += usize::from(!plans.is_empty());
+            for (ci, (plan, graph)) in plans.iter().zip(&graphs).enumerate() {
+                let raw = &raw[..plan.n_samples()];
+                let fused = plan.logits_shot(raw);
+                let reference = mlr_core::plan::eval(graph, raw).logits;
+                let name = format!("{} plan {ci}", model.name());
+                prop_assert_eq!(fused.len(), reference.len(), "branch count, {}", name);
+                for (f, l) in fused.iter().zip(&reference) {
+                    prop_assert_eq!(f.len(), l.len(), "logit count, {}", name);
+                    for (a, b) in f.iter().zip(l) {
+                        prop_assert!(
+                            (a - b).abs() <= 1e-4 * (1.0 + b.abs()) + extra,
+                            "{}: fused logit {} vs reference {}",
+                            name, a, b
+                        );
+                    }
                 }
             }
         }
+        prop_assert_eq!(families, 8, "plan families in the zoo");
     }
 
     #[test]
@@ -1532,10 +1372,11 @@ proptest! {
     ) {
         // Every plan family (OURS, OURS-NO-EMF, OURS-INT, OURS-STREAM per
         // checkpoint, HERQULES, FNN, LDA, AE) decides every shot of a
-        // window exactly as the per-shot arithmetic re-scored from the
-        // plan's own lowered weights — at window sizes that leave ragged
-        // tiles and ragged lane blocks — with trunk features and head
-        // logits equal to the bit.
+        // window exactly as the reference interpreter (`plan::eval`, one
+        // single-pair dot per (row, shot)) re-scores the plan's own
+        // lowered weights — at window sizes that leave ragged tiles and
+        // ragged lane blocks — with trunk features and head logits equal
+        // to the bit.
         let zoo = zoo();
         let n = zoo.dataset.len();
         for model in &zoo.models {
@@ -1549,16 +1390,16 @@ proptest! {
                     let batch = plan.predict_batch(&shots);
                     let feats = plan.features_batch(&shots);
                     for (s, raw) in shots.iter().enumerate() {
-                        let want = reference_shot(&graph, plan.kernel_spans(), raw);
+                        let want = mlr_core::plan::eval(&graph, raw);
                         let what = format!("design {}, window {size}, shot {s}", model.name());
                         prop_assert_eq!(&batch[s], &want.levels, "verdict, {}", what);
                         prop_assert!(
-                            feats[s].len() == want.feats.len()
-                                && feats[s].iter().zip(&want.feats).all(|(&a, &b)| same_bits(a, b)),
+                            feats[s].len() == want.features.len()
+                                && feats[s].iter().zip(&want.features).all(|(&a, &b)| same_bits(a, b)),
                             "features, {}", what
                         );
                     }
-                    let first = reference_shot(&graph, plan.kernel_spans(), shots[0]);
+                    let first = mlr_core::plan::eval(&graph, shots[0]);
                     let logits = plan.logits_shot(shots[0]);
                     prop_assert!(
                         logits.len() == first.logits.len()
